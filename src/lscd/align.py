@@ -2,8 +2,9 @@
 of two embedding spaces.
 
 The rotation is fit on the full vocabulary intersection and maps the first
-space's row vectors into the second space (right-multiplication). Distances
-are direction-independent; the direction is fixed for reproducibility.
+space's row vectors into the second space (right-multiplication); it comes
+from numpy's LAPACK SVD of the cross-covariance matrix. Distances are
+direction-independent; the direction is fixed for reproducibility.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import numpy as np
 
 from .errors import UnderdeterminedError, ZeroNormError
 from .sgns import EmbeddingSpace
-from .svd import jacobi_svd
 
 DEFAULT_PREPROCESSING = ("normalize", "center")
 
@@ -95,7 +95,7 @@ def procrustes_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"paired matrices differ in shape: {a.shape} vs {b.shape}")
-    u, _, vt = jacobi_svd(a.T @ b)
+    u, _, vt = np.linalg.svd(a.T @ b)
     return u @ vt
 
 

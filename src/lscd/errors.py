@@ -33,14 +33,6 @@ class UnderdeterminedError(LscdError):
     """Too few shared words to fit an orthogonal rotation."""
 
 
-class SvdConvergenceError(LscdError):
-    """Jacobi SVD failed to converge within the sweep budget."""
-
-    def __init__(self, message: str, sweeps: int):
-        super().__init__(message)
-        self.sweeps = sweeps
-
-
 class TrainingDivergedError(LscdError):
     """Non-finite values appeared during gradient training."""
 

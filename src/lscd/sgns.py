@@ -7,6 +7,12 @@ distribution raised to a noise exponent, linear learning-rate decay to a
 small floor, input vectors initialized uniformly in [-0.5/d, 0.5/d] and
 output vectors at zero. Updates are applied in fixed-size chunks of (center,
 context) pairs; the procedure is deterministic given the seed.
+
+Each epoch's pairs are built as whole arrays over the concatenated sentences:
+one mask column per window offset keeps a pair when both positions lie in the
+same sentence and the offset is within the center's sampled span. A chunk's
+updates are summed per row in pair order (context words before negatives)
+and then added to the matrices.
 """
 
 from __future__ import annotations
@@ -141,27 +147,52 @@ def _epoch_pairs(
     keep_prob: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sample dynamic windows over every sentence and emit (center, context)
-    id pairs for one epoch."""
-    centers: list[np.ndarray] = []
-    contexts: list[np.ndarray] = []
+    id pairs for one epoch, ordered by center position, then context
+    position."""
+    kept: list[np.ndarray] = []
+    spans: list[np.ndarray] = []
     for ids in encoded:
         if keep_prob is not None:
             ids = ids[rng.random(len(ids)) < keep_prob[ids]]
-        n = len(ids)
-        if n < 2:
+        if len(ids) < 2:
             continue
-        spans = rng.integers(1, window + 1, size=n)
-        for i in range(n):
-            b = int(spans[i])
-            lo = max(0, i - b)
-            hi = min(n, i + b + 1)
-            ctx = np.concatenate((ids[lo:i], ids[i + 1 : hi]))
-            if len(ctx):
-                centers.append(np.full(len(ctx), ids[i], dtype=np.int64))
-                contexts.append(ctx)
-    if not centers:
+        kept.append(ids)
+        spans.append(rng.integers(1, window + 1, size=len(ids)))
+    if not kept:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.concatenate(centers), np.concatenate(contexts)
+    ids = np.concatenate(kept)
+    span = np.concatenate(spans)
+    lengths = np.array([len(k) for k in kept])
+    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    end = first + np.repeat(lengths, lengths)
+    # One column per offset, in ascending order, so the row-major mask keeps
+    # each center's contexts in corpus order. No pair spans more than the
+    # longest sentence, which bounds the mask for any window.
+    reach = min(window, int(lengths.max()) - 1)
+    offsets = np.r_[-reach:0, 1 : reach + 1]
+    ctx = np.arange(len(ids))[:, None] + offsets
+    keep = (
+        (ctx >= first[:, None])
+        & (ctx < end[:, None])
+        & (span[:, None] >= np.abs(offsets))
+    )
+    return ids[np.nonzero(keep)[0]], ids[ctx[keep]]
+
+
+def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """target[rows] += values, summing repeated rows (as np.add.at does).
+
+    Each row's values are summed in input order by one bincount over the
+    distinct rows, so the cost follows the chunk, not the vocabulary.
+    """
+    d = target.shape[1]
+    distinct, local = np.unique(rows, return_inverse=True)
+    sums = np.bincount(
+        (local[:, None] * d + np.arange(d)).ravel(),
+        weights=values.ravel(),
+        minlength=len(distinct) * d,
+    )
+    target[distinct] += sums.reshape(-1, d)
 
 
 def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
@@ -240,13 +271,17 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             delta_cen = pos_coef[:, None] * u_ctx + np.einsum(
                 "bk,bkd->bd", neg_coef, u_neg
             )
-            np.add.at(vec_out, ctx, pos_coef[:, None] * v_cen)
-            np.add.at(
+            _scatter_add(
                 vec_out,
-                negs.reshape(-1),
-                (neg_coef[:, :, None] * v_cen[:, None, :]).reshape(-1, d),
+                np.concatenate((ctx, negs.reshape(-1))),
+                np.concatenate(
+                    (
+                        pos_coef[:, None] * v_cen,
+                        (neg_coef[:, :, None] * v_cen[:, None, :]).reshape(-1, d),
+                    )
+                ),
             )
-            np.add.at(vec_in, cen, delta_cen)
+            _scatter_add(vec_in, cen, delta_cen)
         losses.append(epoch_loss / n_pairs)
 
     if not (np.isfinite(vec_in).all() and np.isfinite(vec_out).all()):
@@ -261,33 +296,14 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     )
 
 
-def nearest_neighbors(
-    space: EmbeddingSpace, word: str, k: int
-) -> list[tuple[str, float]]:
-    """Top-k words by cosine similarity to `word`, the query excluded."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    idx = space.word_ids.get(word)
-    if idx is None:
-        raise VocabularyError(f"word {word!r} not in embedding vocabulary")
-    norms = np.linalg.norm(space.vectors, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    query = space.vectors[idx] / safe[idx]
-    sims = (space.vectors / safe[:, None]) @ query
-    sims[norms == 0.0] = -np.inf
-    sims[idx] = -np.inf
-    order = np.argsort(-sims, kind="stable")[: min(k, len(space.words) - 1)]
-    return [(space.words[int(i)], float(sims[int(i)])) for i in order]
-
-
 def save_vectors(space: EmbeddingSpace, path: str | Path) -> None:
     """Write the input vectors in the plain-text format: a `<count> <dim>`
     header, then one `word v1 ... vd` line per word (9 significant digits)."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(space.words)} {space.dimension}\n")
+        row_format = " ".join(["%.9g"] * space.dimension)
         for word, row in zip(space.words, space.vectors):
-            values = " ".join(format(x, ".9g") for x in row)
-            fh.write(f"{word} {values}\n")
+            fh.write(f"{word} {row_format % tuple(row)}\n")
 
 
 def load_vectors(path: str | Path) -> EmbeddingSpace:

@@ -1,13 +1,12 @@
-"""One-sided Jacobi singular value decomposition for small dense matrices.
+"""One-sided Jacobi singular value decomposition, the test oracle for the
+LAPACK SVD behind `lscd.align.procrustes_rotation`.
 
-The rotation fit only ever needs the SVD of a d x d product matrix (d is the
-embedding dimension), where one-sided Jacobi is simple, very accurate and
-dependency-free: plane rotations applied to the columns of a working copy
-(and accumulated in v) drive all column pairs orthogonal, giving
-m = u @ diag(s) @ vt. Working on the columns themselves (rather than a
-recomputed Gram matrix) keeps each column accurate relative to its own
-norm, which is what lets pairs of small singular values meet the tight
-convergence tolerance.
+One-sided Jacobi is simple, very accurate and dependency-free: plane
+rotations applied to the columns of a working copy (and accumulated in v)
+drive all column pairs orthogonal, giving m = u @ diag(s) @ vt. Working on
+the columns themselves (rather than a recomputed Gram matrix) keeps each
+column accurate relative to its own norm, which is what lets pairs of small
+singular values meet the tight convergence tolerance.
 
 Rotations are organized in round-robin rounds of pairwise-disjoint column
 pairs so each round applies as one vectorized update. Columns whose norms
@@ -19,7 +18,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SvdConvergenceError
+
+class SvdConvergenceError(RuntimeError):
+    """Jacobi SVD failed to converge within the sweep budget."""
+
+    def __init__(self, message: str, sweeps: int):
+        super().__init__(message)
+        self.sweeps = sweeps
+
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_SWEEPS = 30

@@ -17,6 +17,8 @@ from lscd.align import (
 from lscd.errors import UnderdeterminedError, ZeroNormError
 from lscd.sgns import EmbeddingSpace
 
+from jacobi_svd import jacobi_svd
+
 
 def space_of(vectors, words=None) -> EmbeddingSpace:
     vectors = np.asarray(vectors, dtype=np.float64)
@@ -116,6 +118,27 @@ class TestProcrustes:
                 rng.standard_normal((n, d)), rng.standard_normal((n, d))
             )
             assert np.linalg.norm(w.T @ w - np.eye(d)) <= 1e-8
+
+    def test_matches_jacobi_reference(self):
+        # A full-rank cross-covariance has one optimal rotation, so the
+        # LAPACK fit must equal the one built from the Jacobi oracle.
+        rng = np.random.default_rng(15)
+        for n, d in ((12, 1), (40, 7), (300, 40)):
+            a = rng.standard_normal((n, d))
+            b = rng.standard_normal((n, d))
+            u, _, vt = jacobi_svd(a.T @ b)
+            assert np.linalg.norm(procrustes_rotation(a, b) - u @ vt) <= 1e-9
+
+    def test_rank_deficient_fit_still_orthogonal(self):
+        # Centering exactly d shared words leaves rank d - 1; a zero
+        # cross-covariance is the extreme case.
+        rng = np.random.default_rng(14)
+        a = mean_center(space_of(rng.standard_normal((6, 6)))).vectors
+        b = mean_center(space_of(rng.standard_normal((6, 6)))).vectors
+        for x, y in ((a, b), (a, a), (np.zeros((6, 6)), b)):
+            w = procrustes_rotation(x, y)
+            assert np.isfinite(w).all()
+            assert np.linalg.norm(w.T @ w - np.eye(6)) <= 1e-10
 
     def test_norm_preservation(self):
         rng = np.random.default_rng(8)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from lscd.corpus import T1, Corpus
-from lscd.errors import EmptyCorpusError, FormatError, VocabularyError
+from lscd.errors import EmptyCorpusError, FormatError
 from lscd.sgns import (
     _CHUNK,
     _LR_FLOOR_FACTOR,
+    EmbeddingSpace,
     SgnsConfig,
     _corpus_ids,
     _epoch_pairs,
+    _scatter_add,
     load_vectors,
-    nearest_neighbors,
     save_vectors,
     sgns_step,
     sigmoid,
@@ -225,44 +226,65 @@ class TestTraining:
             SgnsConfig(initial_learning_rate=0.0)
 
 
-class TestNearestNeighbors:
-    def _clustered_space(self):
-        sents = []
-        for _ in range(150):
-            sents.append(["a", "b"] * 3)
-            sents.append(["c", "d"] * 3)
-        corpus = Corpus(sentences=sents, period=T1)
-        cfg = SgnsConfig(
-            dimension=8, window=2, negatives=2, epochs=3, seed=2,
-            initial_learning_rate=0.02,
-        )
-        return train_sgns(corpus, cfg)
+def reference_epoch_pairs(encoded, window, rng, keep_prob):
+    """Per-token pair loop: the same RNG calls as _epoch_pairs, one
+    dynamic-window slice per center."""
+    centers, contexts = [], []
+    for ids in encoded:
+        if keep_prob is not None:
+            ids = ids[rng.random(len(ids)) < keep_prob[ids]]
+        n = len(ids)
+        if n < 2:
+            continue
+        spans = rng.integers(1, window + 1, size=n)
+        for i in range(n):
+            b = int(spans[i])
+            lo = max(0, i - b)
+            hi = min(n, i + b + 1)
+            ctx = np.concatenate((ids[lo:i], ids[i + 1 : hi]))
+            if len(ctx):
+                centers.append(np.full(len(ctx), ids[i], dtype=np.int64))
+                contexts.append(ctx)
+    if not centers:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.concatenate(centers), np.concatenate(contexts)
 
-    def test_two_word_vocabulary(self):
-        corpus = Corpus([["x", "y"]] * 50, period=T1)
-        space = train_sgns(corpus, SgnsConfig(dimension=4, window=1, epochs=1, seed=0))
-        assert nearest_neighbors(space, "x", 1)[0][0] == "y"
 
-    def test_query_excluded(self):
-        space = self._clustered_space()
-        for word in space.words:
-            names = [w for w, _ in nearest_neighbors(space, word, 10)]
-            assert word not in names
+class TestEpochPairs:
+    @pytest.mark.parametrize("window", [1, 2, 5, 40])
+    @pytest.mark.parametrize("subsample", [False, True])
+    def test_matches_per_token_reference(self, window, subsample):
+        rng = np.random.default_rng(100 + window)
+        for trial in range(20):
+            vocab = int(rng.integers(1, 15))
+            # Trial 0 has only sentences of length 0 and 1, so no pairs.
+            max_len = 2 if trial == 0 else 12
+            lengths = rng.integers(0, max_len, size=int(rng.integers(0, 25)))
+            encoded = [rng.integers(0, vocab, size=n) for n in lengths]
+            keep_prob = rng.random(vocab) if subsample else None
+            got_rng = np.random.default_rng(trial)
+            want_rng = np.random.default_rng(trial)
+            got = _epoch_pairs(encoded, window, got_rng, keep_prob)
+            want = reference_epoch_pairs(encoded, window, want_rng, keep_prob)
+            for g, w in zip(got, want):
+                assert g.dtype == np.int64
+                assert np.array_equal(g, w)
+            # Both consumed the same RNG draws.
+            assert got_rng.random() == want_rng.random()
 
-    def test_same_cluster_ranks_first(self):
-        space = self._clustered_space()
-        assert nearest_neighbors(space, "a", 1)[0][0] == "b"
-        assert nearest_neighbors(space, "c", 1)[0][0] == "d"
 
-    def test_oov_raises(self):
-        space = self._clustered_space()
-        with pytest.raises(VocabularyError):
-            nearest_neighbors(space, "nope", 1)
-
-    def test_k_validation(self):
-        space = self._clustered_space()
-        with pytest.raises(ValueError):
-            nearest_neighbors(space, "a", 0)
+class TestScatterAdd:
+    def test_matches_add_at_with_repeated_rows(self):
+        rng = np.random.default_rng(3)
+        for n_rows, d, b in ((1, 1, 50), (5, 3, 200), (40, 17, 1000)):
+            start = rng.standard_normal((n_rows, d))
+            rows = np.minimum(rng.zipf(1.5, size=b) - 1, n_rows - 1)
+            values = rng.standard_normal((b, d))
+            want = start.copy()
+            np.add.at(want, rows, values)
+            got = start.copy()
+            _scatter_add(got, rows, values)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestVectorFormat:
@@ -280,6 +302,19 @@ class TestVectorFormat:
         # serialize -> parse -> serialize is a fixed point at 9 digits
         save_vectors(again, tmp_path / "vectors2.vec")
         assert (tmp_path / "vectors2.vec").read_bytes() == path.read_bytes()
+
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(18)
+        vectors = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-300, 300, (4, 5))
+        vectors[0] = [0.0, -0.0, 1e308, -5e-324, 0.1]
+        space = EmbeddingSpace(
+            words=list("abcd"), word_ids={w: i for i, w in enumerate("abcd")},
+            vectors=vectors,
+        )
+        save_vectors(space, tmp_path / "v.vec")
+        lines = (tmp_path / "v.vec").read_text(encoding="utf-8").splitlines()[1:]
+        for word, row, line in zip(space.words, vectors, lines):
+            assert line == word + " " + " ".join(format(x, ".9g") for x in row)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.vec"

@@ -3,8 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from lscd.errors import SvdConvergenceError
-from lscd.svd import jacobi_svd
+from jacobi_svd import SvdConvergenceError, jacobi_svd
 
 
 def assert_valid_svd(m, u, s, vt, tol=1e-10):

@@ -1,17 +1,23 @@
 """Context-dependent word-use representations from a sentence time classifier.
 
 The built-in encoder is deliberately small: a token embedding table, a
-learned per-offset weighting that mixes each token's embedding with its
-neighbors inside a fixed radius, and a logistic head over the mean-pooled
-contextual vectors that predicts the sentence's period. The per-token
-contextual vectors that feed the pooled classifier input double as word-use
-representations. Anything honoring the same contract (per-use vectors in the
-TSV format below) can be plugged in via import_uses instead.
+learned weight per offset -r..r that mixes each token's embedding with its
+neighbors, and a logistic head over the mean of the mixed vectors that
+predicts the sentence's period. The mixed vectors of an L-token sentence,
+``W_L @ rows`` with ``W_L`` the banded L x L matrix of the offset weights,
+double as word-use representations. The head never forms them: their mean
+is the coefficient-weighted sum ``coeffs @ rows / L`` (``coeffs`` being the
+column sums of ``W_L``), so one forward and backward pass costs O(L*d) and
+yields a sparse, one-row-per-token embedding gradient. Training, prediction
+and the gradient check share that pass. Anything honoring the same contract
+(per-use vectors in the TSV format below) can be plugged in via import_uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +52,8 @@ class ClfMetrics:
     accuracy: float
     per_label_accuracy: dict[str, float]
     example_counts: dict[str, int]
+    # Per epoch: the mean binary cross-entropy of its steps, before each update.
+    train_loss: list[float] = field(default_factory=list)
 
 
 @dataclass
@@ -86,27 +94,28 @@ class TimeClassifier:
     def radius(self) -> int:
         return (len(self.offset_weights) - 1) // 2
 
-    def _embed(self, tokens: list[str]) -> np.ndarray:
-        rows = np.zeros((len(tokens), self.embeddings.shape[1]))
-        for i, tok in enumerate(tokens):
-            idx = self.word_ids.get(tok)
-            if idx is not None:
-                rows[i] = self.embeddings[idx]
+    def token_ids(self, tokens: list[str]) -> np.ndarray:
+        """Embedding row of each token, -1 for out-of-vocabulary tokens."""
+        get = self.word_ids.get
+        return np.array([get(t, -1) for t in tokens], dtype=np.int64)
+
+    def _embed(self, ids: np.ndarray) -> np.ndarray:
+        rows = self.embeddings.take(ids, axis=0)
+        if len(ids) and ids.min() < 0:
+            rows[ids < 0] = 0.0
         return rows
 
     def contextual_vectors(self, tokens: list[str]) -> np.ndarray:
         """Per-token contextual vectors: each token's embedding mixed with its
         neighbors under the learned offset weighting. Out-of-vocabulary tokens
         contribute a zero embedding."""
-        rows = self._embed(tokens)
-        return _mix(rows, self.offset_weights)
+        return _contextual(self, self.token_ids(tokens), {})
 
     def predict_proba(self, tokens: list[str]) -> float:
         """Probability that the sentence comes from the second period."""
         if not tokens:
             raise ValueError("cannot classify an empty sentence")
-        pooled = self.contextual_vectors(tokens).mean(axis=0)
-        return float(_sigmoid(self.head_w @ pooled + self.head_b))
+        return float(_sigmoid(_forward(self, self.token_ids(tokens))[3]))
 
 
 def _sigmoid(z: float) -> float:
@@ -116,80 +125,92 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def _mix(rows: np.ndarray, offset_weights: np.ndarray) -> np.ndarray:
-    """H[i] = sum over offsets o of weight[o] * rows[i + o], missing
-    neighbors contributing nothing."""
+def _band(offset_weights: np.ndarray, length: int) -> np.ndarray:
+    """The L x L mixing matrix W[i, j] = weight of offset j - i (0 outside
+    the radius): (W @ rows)[i] mixes token i with its existing neighbors."""
     radius = (len(offset_weights) - 1) // 2
-    h = np.zeros_like(rows)
-    length = len(rows)
-    for o in range(-radius, radius + 1):
-        w = offset_weights[o + radius]
-        if o == 0:
-            h += w * rows
-        elif o < 0 and length + o > 0:
-            h[-o:] += w * rows[:o]
-        elif o > 0 and length - o > 0:
-            h[:-o] += w * rows[o:]
-    return h
+    pos = np.arange(length)
+    offset = pos[None, :] - pos[:, None]
+    weights = offset_weights[np.clip(offset + radius, 0, 2 * radius)]
+    return np.where(np.abs(offset) <= radius, weights, 0.0)
+
+
+def _contextual(
+    model: TimeClassifier, ids: np.ndarray, bands: dict[int, np.ndarray]
+) -> np.ndarray:
+    """W_L @ rows; `bands` caches W_L by length for the current weights."""
+    if len(ids) not in bands:
+        bands[len(ids)] = _band(model.offset_weights, len(ids))
+    return bands[len(ids)] @ model._embed(ids)
+
+
+@lru_cache(maxsize=256)
+def _reach(length: int, radius: int) -> np.ndarray:
+    """reach[j, o + radius] = 1 where offset o mixes token j into some
+    position of a `length`-token sentence (0 <= j - o < length), else 0.
+    Shared by every caller, hence read-only."""
+    lag = np.arange(length)[:, None] - np.arange(-radius, radius + 1)
+    reach = ((lag >= 0) & (lag < length)).astype(float)
+    reach.flags.writeable = False
+    return reach
+
+
+def _forward(model: TimeClassifier, ids: np.ndarray):
+    """Rows, pooling coefficients, pooled vector and logit of one sentence:
+    coeffs[j] is the total offset weight reaching token j, so the mean of
+    the mixed vectors is coeffs @ rows / L."""
+    rows = model._embed(ids)
+    coeffs = _reach(len(ids), model.radius) @ model.offset_weights
+    pooled = coeffs @ rows / len(ids)
+    z = float(model.head_w @ pooled + model.head_b)
+    return rows, coeffs, pooled, z
 
 
 def classifier_loss_and_grads(
-    model: TimeClassifier, tokens: list[str], label: int
+    model: TimeClassifier, ids: np.ndarray, label: int, step: int | None = None
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Binary cross-entropy of one example and its gradients with respect to
-    the head, the offset weights and the embedding rows involved.
+    """Binary cross-entropy of one non-empty example, given as token ids
+    (TimeClassifier.token_ids), and its gradients at the current parameters.
 
-    The embedding gradient is returned dense over the vocabulary (callers
-    doing SGD apply it sparsely via the token ids instead).
+    Row j of ``grads["embeddings"]`` is the gradient for token j's embedding
+    row (repeated tokens add up; out-of-vocabulary rows belong to no
+    parameter). A non-finite logit raises TrainingDivergedError at `step`.
     """
-    rows = model._embed(tokens)
-    g = model.offset_weights
-    radius = model.radius
-    length = len(tokens)
-
-    h = _mix(rows, g)
-    pooled = h.mean(axis=0)
-    z = float(model.head_w @ pooled + model.head_b)
+    rows, coeffs, pooled, z = _forward(model, ids)
+    if not math.isfinite(z):
+        raise TrainingDivergedError(f"non-finite activation at step {step}", step=step)
     p = _sigmoid(z)
     y = float(label)
     eps = 1e-12
-    loss = -(y * np.log(p + eps) + (1.0 - y) * np.log(1.0 - p + eps))
+    loss = -(y * math.log(p + eps) + (1.0 - y) * math.log(1.0 - p + eps))
 
     dz = p - y
-    d_head_w = dz * pooled
-    d_head_b = dz
-    d_pool = dz * model.head_w  # dH[i] = d_pool / length for every i
-
-    d_g = np.zeros_like(g)
-    for o in range(-radius, radius + 1):
-        if o <= 0:
-            segment = rows[: length + o] if o < 0 else rows
-        else:
-            segment = rows[o:]
-        if len(segment):
-            d_g[o + radius] = (d_pool @ segment.sum(axis=0)) / length
-
-    # Token at position j feeds h[j - o] for every valid offset o, so its
-    # embedding gradient is d_pool/length scaled by the sum of valid weights.
-    coeffs = np.empty(length)
-    for j in range(length):
-        lo = max(-radius, j - (length - 1))
-        hi = min(radius, j)
-        coeffs[j] = g[lo + radius : hi + radius + 1].sum()
-    d_rows = np.outer(coeffs, d_pool) / length
-
-    d_emb = np.zeros_like(model.embeddings)
-    for j, tok in enumerate(tokens):
-        idx = model.word_ids.get(tok)
-        if idx is not None:
-            d_emb[idx] += d_rows[j]
-
-    return float(loss), {
-        "head_w": d_head_w,
-        "head_b": np.array(d_head_b),
+    scale = dz / len(ids)
+    # Offset o's gradient is head_w . (sum of the rows it reads) * dz / L, a
+    # sum of the per-token projections rows @ head_w over the tokens it reaches.
+    d_g = scale * ((rows @ model.head_w) @ _reach(len(ids), model.radius))
+    d_rows = (scale * coeffs)[:, None] * model.head_w
+    return loss, {
+        "head_w": dz * pooled,
+        "head_b": np.array(dz),
         "offset_weights": d_g,
-        "embeddings": d_emb,
+        "embeddings": d_rows,
     }
+
+
+def _sgd_update(
+    model: TimeClassifier, ids: np.ndarray, label: int, lr: float, step: int
+) -> float:
+    """One SGD step, every gradient taken at the pre-step parameters; returns
+    the pre-step loss. All `ids` must be in the vocabulary."""
+    loss, grads = classifier_loss_and_grads(model, ids, label, step=step)
+    model.head_w -= lr * grads["head_w"]
+    model.head_b -= lr * float(grads["head_b"])
+    model.offset_weights -= lr * grads["offset_weights"]
+    d = model.embeddings.shape[1]
+    flat = (ids[:, None] * d + np.arange(d)).ravel()
+    np.add.at(model.embeddings.reshape(-1), flat, -lr * grads["embeddings"].ravel())
+    return loss
 
 
 def train_time_classifier(
@@ -198,7 +219,7 @@ def train_time_classifier(
     vocabulary: list[str] | None = None,
 ) -> tuple[TimeClassifier, ClfMetrics]:
     """Train on the train split for exactly `config.epochs` passes and report
-    accuracy on the untouched test split.
+    accuracy on the untouched test split, plus each epoch's mean train loss.
 
     `vocabulary` may supply additional words (e.g. the full joint corpus
     vocabulary) so that later extraction never meets out-of-vocabulary
@@ -227,64 +248,30 @@ def train_time_classifier(
         head_b=0.0,
         config=config,
     )
+    train = [
+        (model.token_ids(tokens), 1 if label == T2 else 0)
+        for tokens, label in (dataset.examples[i] for i in train_idx)
+    ]
 
     lr0 = config.learning_rate
     lr_floor = lr0 * _LR_FLOOR_FACTOR
     total_steps = config.epochs * len(train_idx)
     step = 0
+    train_loss = []
     for _ in range(config.epochs):
+        losses = []
         for i in rng.permutation(len(train_idx)):
-            example_idx = train_idx[int(i)]
-            tokens, label = dataset.examples[example_idx]
-            if not tokens:
+            ids, label = train[int(i)]
+            if not len(ids):
                 continue
             lr = max(lr0 * (1.0 - step / total_steps), lr_floor)
             step += 1
-            _sgd_step(model, tokens, 1 if label == T2 else 0, lr, step)
+            losses.append(_sgd_update(model, ids, label, lr, step))
+        train_loss.append(sum(losses) / len(losses) if losses else math.nan)
 
     metrics = _evaluate(model, dataset, test_idx)
+    metrics.train_loss = train_loss
     return model, metrics
-
-
-def _sgd_step(
-    model: TimeClassifier, tokens: list[str], label: int, lr: float, step: int
-) -> None:
-    rows = model._embed(tokens)
-    g = model.offset_weights.copy()  # snapshot: all gradients at one point
-    radius = model.radius
-    length = len(tokens)
-
-    h = _mix(rows, g)
-    pooled = h.mean(axis=0)
-    z = float(model.head_w @ pooled + model.head_b)
-    if not np.isfinite(z):
-        raise TrainingDivergedError(f"non-finite activation at step {step}", step=step)
-    dz = _sigmoid(z) - float(label)
-    d_pool = dz * model.head_w
-
-    model.head_w -= lr * dz * pooled
-    model.head_b -= lr * dz
-
-    prefix = np.vstack([np.zeros(rows.shape[1]), np.cumsum(rows, axis=0)])
-    for o in range(-radius, radius + 1):
-        if o <= 0:
-            seg_sum = prefix[length + o] if o < 0 else prefix[length]
-        else:
-            seg_sum = prefix[length] - prefix[o]
-        model.offset_weights[o + radius] -= lr * float(d_pool @ seg_sum) / length
-
-    coeffs = np.empty(length)
-    for j in range(length):
-        lo = max(-radius, j - (length - 1))
-        hi = min(radius, j)
-        coeffs[j] = g[lo + radius : hi + radius + 1].sum()
-    d_rows = np.outer(-lr * coeffs / length, d_pool)
-    ids = np.array(
-        [model.word_ids[t] for t in tokens if t in model.word_ids], dtype=np.int64
-    )
-    keep = np.array([t in model.word_ids for t in tokens])
-    if len(ids):
-        np.add.at(model.embeddings, ids, d_rows[keep])
 
 
 def _evaluate(
@@ -324,10 +311,11 @@ def extract_uses(
     wanted = set(targets)
     collected: dict[str, list[np.ndarray]] = {w: [] for w in targets}
     indices: dict[str, list[int]] = {w: [] for w in targets}
+    bands: dict[int, np.ndarray] = {}
     for si, sentence in enumerate(corpus.sentences):
         if wanted.isdisjoint(sentence):
             continue
-        vectors = model.contextual_vectors(sentence)
+        vectors = _contextual(model, model.token_ids(sentence), bands)
         for pos, token in enumerate(sentence):
             if token in wanted:
                 collected[token].append(vectors[pos])
@@ -391,9 +379,9 @@ def export_uses(use_sets: list[UseSet], path: str | Path) -> None:
     separated, 9 significant digits)."""
     with open(path, "w", encoding="utf-8") as fh:
         for us in use_sets:
+            row_format = " ".join(["%.9g"] * us.vectors.shape[-1])
             for si, vec in zip(us.sentence_indices, us.vectors):
-                values = " ".join(format(x, ".9g") for x in vec)
-                fh.write(f"{us.word}\t{us.period}\t{si}\t{values}\n")
+                fh.write(f"{us.word}\t{us.period}\t{si}\t{row_format % tuple(vec)}\n")
 
 
 def import_uses(path: str | Path) -> list[UseSet]:

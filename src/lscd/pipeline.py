@@ -45,6 +45,7 @@ from .context import (
 from .corpus import (
     T1,
     T2,
+    Corpus,
     apply_threshold,
     build_clf_dataset,
     build_vocabulary,
@@ -280,6 +281,7 @@ class Pipeline:
         self.cfg = config
         self.stages: dict[str, StageResult] = {}
         self._file_hashes: dict[str, str] = {}
+        self._corpora: dict[tuple[str, str], Corpus] = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -290,6 +292,15 @@ class Pipeline:
         if key not in self._file_hashes:
             self._file_hashes[key] = _hash_file(path)
         return self._file_hashes[key]
+
+    def _raw_corpora(self) -> tuple[Corpus, Corpus]:
+        """Both input corpora, each parsed once per Pipeline (keyed by path
+        and period); stages only read them."""
+        keys = ((str(self.cfg.corpus_t1), T1), (str(self.cfg.corpus_t2), T2))
+        for key in keys:
+            if key not in self._corpora:
+                self._corpora[key] = load_corpus(*key)
+        return self._corpora[keys[0]], self._corpora[keys[1]]
 
     def _ensure(self, name: str, payload: dict, build) -> StageResult:
         if name in self.stages:
@@ -329,8 +340,7 @@ class Pipeline:
         }
 
         def build(directory: Path):
-            c1 = load_corpus(cfg.corpus_t1, T1)
-            c2 = load_corpus(cfg.corpus_t2, T2)
+            c1, c2 = self._raw_corpora()
             targets = load_targets(cfg.targets)
             vocab = build_vocabulary(c1, c2)
             total = c1.sentence_count + c2.sentence_count
@@ -412,8 +422,7 @@ class Pipeline:
         }
 
         def build(directory: Path):
-            c1 = load_corpus(cfg.corpus_t1, T1)
-            c2 = load_corpus(cfg.corpus_t2, T2)
+            c1, c2 = self._raw_corpora()
             dataset = build_clf_dataset(c1, c2, masked=cfg.masked, seed=seed)
             write_dataset_tsv(dataset, directory / "dataset.tsv")
             meta = {"masked": dataset.masked, "mask_token": dataset.mask_token}
@@ -447,8 +456,7 @@ class Pipeline:
             )
             # The full joint vocabulary (plus the mask token) means later
             # extraction over the raw corpora never meets OOV tokens.
-            c1 = load_corpus(cfg.corpus_t1, T1)
-            c2 = load_corpus(cfg.corpus_t2, T2)
+            c1, c2 = self._raw_corpora()
             vocabulary = build_vocabulary(c1, c2).words + [meta["mask_token"]]
             model, metrics = train_time_classifier(
                 dataset,
@@ -462,6 +470,9 @@ class Pipeline:
                 ("accuracy_t2", metrics.per_label_accuracy[T2]),
                 ("test_count_t1", metrics.example_counts[T1]),
                 ("test_count_t2", metrics.example_counts[T2]),
+            ] + [
+                (f"train_loss_epoch{k}", loss)
+                for k, loss in enumerate(metrics.train_loss, start=1)
             ]
             with open(directory / "metrics.tsv", "w", encoding="utf-8") as fh:
                 for name, value in rows:
@@ -483,8 +494,7 @@ class Pipeline:
         def build(directory: Path):
             model = load_classifier(model_stage.path / "model.npz")
             targets = load_targets(cfg.targets)
-            for period, path in ((T1, cfg.corpus_t1), (T2, cfg.corpus_t2)):
-                corpus = load_corpus(path, period)
+            for period, corpus in zip((T1, T2), self._raw_corpora()):
                 uses = extract_uses(model, corpus, targets)
                 export_uses(uses, directory / f"uses_{period}.tsv")
 

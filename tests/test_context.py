@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import copy
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from lscd.context import (
     EncoderConfig,
     TimeClassifier,
     UseSet,
+    _sgd_update,
     classifier_loss_and_grads,
     export_uses,
     extract_uses,
@@ -16,9 +20,10 @@ from lscd.context import (
     train_time_classifier,
 )
 from lscd.corpus import T1, T2, Corpus, TimeClfDataset, build_clf_dataset
-from lscd.errors import DatasetError, FormatError
+from lscd.errors import DatasetError, FormatError, TrainingDivergedError
 
 from conftest import random_corpus
+from context_reference import reference_embed, reference_mix, reference_train
 
 
 def marker_corpora(rng, n=1200, vocab_size=40):
@@ -68,6 +73,29 @@ def small_model(seed=0, dimension=6, radius=2) -> TimeClassifier:
     return model
 
 
+def densify(model: TimeClassifier, ids, sparse_rows) -> np.ndarray:
+    """The per-token embedding gradient as a dense vocabulary-sized array."""
+    dense = np.zeros_like(model.embeddings)
+    np.add.at(dense, ids, sparse_rows)
+    return dense
+
+
+def lengths_dataset(radius: int, repeats: int = 6) -> TimeClfDataset:
+    """Sentences of every length 1..2*radius+2 in both periods, with repeated
+    tokens, split so that every length is trained on."""
+    rng = np.random.default_rng(radius)
+    examples, splits = [], []
+    for _ in range(repeats):
+        for length in range(1, 2 * radius + 3):
+            for label in (T1, T2):
+                tokens = [f"w{i}" for i in rng.integers(0, 5, size=length)]
+                examples.append((tokens, label))
+                splits.append("train")
+    examples += [(["w1", "w2"], T1), (["w3"], T2)]
+    splits += ["test", "test"]
+    return TimeClfDataset(examples, splits, masked=False, mask_token="[MASK]")
+
+
 class TestGradients:
     def test_head_and_contextualizer_match_finite_differences(self):
         model = small_model()
@@ -76,7 +104,9 @@ class TestGradients:
         for _ in range(10):
             tokens = [f"w{i}" for i in rng.integers(0, 10, size=int(rng.integers(1, 9)))]
             label = int(rng.integers(0, 2))
-            _, grads = classifier_loss_and_grads(model, tokens, label)
+            ids = model.token_ids(tokens)
+            _, grads = classifier_loss_and_grads(model, ids, label)
+            grads["embeddings"] = densify(model, ids, grads["embeddings"])
             for name in ("head_w", "offset_weights", "embeddings"):
                 arr = getattr(model, name)
                 analytic = grads[name]
@@ -85,25 +115,106 @@ class TestGradients:
                 for k in indices:
                     orig = arr.flat[k]
                     arr.flat[k] = orig + h
-                    lp = classifier_loss_and_grads(model, tokens, label)[0]
+                    lp = classifier_loss_and_grads(model, ids, label)[0]
                     arr.flat[k] = orig - h
-                    lm = classifier_loss_and_grads(model, tokens, label)[0]
+                    lm = classifier_loss_and_grads(model, ids, label)[0]
                     arr.flat[k] = orig
                     fd = (lp - lm) / (2 * h)
                     scale = max(abs(analytic.flat[k]), abs(fd), 1e-8)
                     assert abs(analytic.flat[k] - fd) / scale <= 1e-4
             # bias gradient
-            _, grads = classifier_loss_and_grads(model, tokens, label)
+            _, grads = classifier_loss_and_grads(model, ids, label)
             orig = model.head_b
             model.head_b = orig + h
-            lp = classifier_loss_and_grads(model, tokens, label)[0]
+            lp = classifier_loss_and_grads(model, ids, label)[0]
             model.head_b = orig - h
-            lm = classifier_loss_and_grads(model, tokens, label)[0]
+            lm = classifier_loss_and_grads(model, ids, label)[0]
             model.head_b = orig
             assert abs(float(grads["head_b"]) - (lp - lm) / (2 * h)) <= 1e-4
 
 
+class TestSharedPass:
+    @pytest.mark.parametrize("radius", [2, 5])
+    def test_step_is_params_minus_lr_grads(self, radius):
+        # Lengths 1..2r+2 over 4 distinct tokens: short sentences, sentences
+        # longer than the window, and repeated tokens in the one scatter.
+        rng = np.random.default_rng(radius)
+        model = small_model(seed=3, radius=radius)
+        for step, length in enumerate(range(1, 2 * radius + 3), start=1):
+            ids = rng.integers(0, 4, size=length)
+            label = step % 2
+            lr = 0.3 / step
+            before = copy.deepcopy(model)
+            loss, grads = classifier_loss_and_grads(before, ids, label)
+            assert _sgd_update(model, ids, label, lr, step) == loss
+            emb = before.embeddings - lr * densify(before, ids, grads["embeddings"])
+            assert np.abs(model.embeddings - emb).max() <= 1e-12
+            for name in ("head_w", "offset_weights"):
+                expected = getattr(before, name) - lr * grads[name]
+                assert np.abs(getattr(model, name) - expected).max() <= 1e-12
+            assert abs(model.head_b - (before.head_b - lr * grads["head_b"])) <= 1e-12
+
+    def test_non_finite_logit_raises_with_step(self):
+        model = small_model()
+        model.head_b = math.inf
+        before = copy.deepcopy(model)
+        ids = model.token_ids(["w1", "w2", "w3"])
+        with pytest.raises(TrainingDivergedError) as excinfo:
+            _sgd_update(model, ids, 1, 0.1, step=17)
+        assert excinfo.value.step == 17
+        assert np.array_equal(model.embeddings, before.embeddings)
+        assert np.array_equal(model.offset_weights, before.offset_weights)
+
+    @pytest.mark.parametrize("radius", [0, 2, 5])
+    def test_pooled_logit_matches_mix_oracle(self, radius):
+        # The pooled vector is the mean of the reference mix, out-of-vocabulary
+        # tokens ("oov") included as zero rows.
+        model = small_model(seed=4, radius=radius)
+        rng = np.random.default_rng(5)
+        for length in range(1, 2 * radius + 4):
+            tokens = [f"w{i}" if i < 10 else "oov" for i in rng.integers(0, 12, size=length)]
+            pooled = reference_mix(reference_embed(model, tokens), model.offset_weights).mean(axis=0)
+            z = model.head_w @ pooled + model.head_b
+            assert abs(model.predict_proba(tokens) - 1.0 / (1.0 + math.exp(-z))) <= 1e-12
+            loss, _ = classifier_loss_and_grads(model, model.token_ids(tokens), 1)
+            assert abs(loss - math.log1p(math.exp(-z))) <= 1e-9
+
+
 class TestTraining:
+    def test_matches_reference_trainer(self, rng):
+        # The reference step crashes on sentences shorter than the radius, so
+        # the marker sentences (9 tokens) stay at least radius 5 long.
+        c1, c2 = marker_corpora(rng, n=300)
+        dataset = build_clf_dataset(c1, c2, masked=False, seed=2)
+        cfg = EncoderConfig(dimension=12, context_radius=5, epochs=2, seed=3)
+        model, _ = train_time_classifier(dataset, cfg, vocabulary=["extra"])
+        reference = reference_train(dataset, cfg, vocabulary=["extra"])
+        assert model.words == reference.words
+        for name in ("embeddings", "offset_weights", "head_w"):
+            assert np.abs(getattr(model, name) - getattr(reference, name)).max() <= 1e-12
+        assert abs(model.head_b - reference.head_b) <= 1e-12
+
+    def test_sentences_shorter_than_radius_train(self):
+        # Regression: every length 1..2r+2 at the default radius 5.
+        dataset = lengths_dataset(radius=5)
+        with pytest.raises(IndexError):
+            reference_train(dataset, EncoderConfig(dimension=8, seed=1))
+        model, metrics = train_time_classifier(dataset, EncoderConfig(dimension=8, seed=1))
+        for name in ("embeddings", "offset_weights", "head_w"):
+            assert np.isfinite(getattr(model, name)).all()
+        assert all(math.isfinite(x) for x in metrics.train_loss)
+
+    def test_train_loss_per_epoch(self, rng):
+        c1, c2 = marker_corpora(rng, n=200)
+        dataset = build_clf_dataset(c1, c2, masked=False, seed=17)
+        _, metrics = train_time_classifier(
+            dataset, EncoderConfig(dimension=16, context_radius=2, epochs=3, seed=18)
+        )
+        loss = metrics.train_loss
+        assert len(loss) == 3
+        # The head starts at zero, so the first step's loss is log 2.
+        assert 0.0 < loss[2] < loss[1] < loss[0] < math.log(2.0)
+
     def test_planted_marker_high_accuracy(self, rng):
         c1, c2 = marker_corpora(rng)
         dataset = build_clf_dataset(c1, c2, masked=False, seed=2)
@@ -221,6 +332,20 @@ class TestExtraction:
         assert np.array_equal(uses[0].vectors[0], vectors[1])
         assert np.array_equal(uses[0].vectors[1], vectors[3])
 
+    @pytest.mark.parametrize("radius", [0, 2, 5])
+    def test_banded_vectors_match_mix_oracle(self, radius):
+        model = small_model(seed=6, radius=radius)
+        rng = np.random.default_rng(7)
+        for length in range(0, 2 * radius + 4):
+            tokens = [f"w{i}" if i < 10 else "oov" for i in rng.integers(0, 12, size=length)]
+            expected = reference_mix(reference_embed(model, tokens), model.offset_weights)
+            got = model.contextual_vectors(tokens)
+            assert got.shape == (length, 6)
+            assert np.abs(got - expected).max(initial=0.0) <= 1e-12
+            if length:
+                uses = extract_uses(model, Corpus([tokens], T1), [tokens[-1]])[0]
+                assert np.array_equal(uses.vectors[-1], got[-1])
+
     def test_deterministic(self, rng):
         model = small_model()
         corpus = random_corpus(rng, 40, vocab_size=10)
@@ -296,6 +421,16 @@ class TestUseSetTsv:
         for u in uses:
             got = again[(u.word, u.period)].vectors
             assert np.abs(got - u.vectors).max() <= 1e-8 * np.abs(u.vectors).max()
+
+    def test_rows_match_per_value_formatting(self, tmp_path):
+        rng = np.random.default_rng(19)
+        vectors = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-300, 300, (4, 5))
+        vectors[0] = [0.0, -0.0, 1e308, -5e-324, 2.2e-310]
+        path = tmp_path / "uses.tsv"
+        export_uses([UseSet("w", T2, vectors, [3, 1, 4, 1])], path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for si, row, line in zip([3, 1, 4, 1], vectors, lines):
+            assert line == f"w\t{T2}\t{si}\t" + " ".join(format(x, ".9g") for x in row)
 
     def test_ragged_dimension_reports_line(self, tmp_path):
         path = tmp_path / "uses.tsv"

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from lscd.cli import main
+from lscd.corpus import T1, T2
 from lscd.errors import StageError
 from lscd.pipeline import (
     Pipeline,
@@ -227,6 +228,15 @@ class TestPipelineRun:
         assert ("ensemble", "theta_grid_search") in metrics
         assert (report_dir / "summary.txt").is_file()
 
+    def test_classifier_metrics_record_train_loss(self, run_dir):
+        _, _, config, pipeline = run_dir
+        path = pipeline.stages["clf-model"].path / "metrics.tsv"
+        rows = dict(line.split("\t") for line in path.read_text().splitlines())
+        assert list(rows)[:2] == ["accuracy", "accuracy_t1"]
+        epochs = [f"train_loss_epoch{k}" for k in range(1, config.encoder.epochs + 1)]
+        assert list(rows)[-len(epochs):] == epochs
+        assert all(0.0 < float(rows[name]) < 1.0 for name in epochs)
+
     def test_interrupted_stage_rebuilt(self, run_dir):
         _, config_path, config, first = run_dir
         # Simulate a partial write: remove the sentinel of a cheap stage.
@@ -236,6 +246,38 @@ class TestPipelineRun:
         pipeline.run_all()
         assert not pipeline.stages["ensemble"].cached
         assert (stage_dir / ".complete").is_file()
+
+
+class TestCorpusMemo:
+    def test_raw_corpora_parsed_once_shared_and_unmodified(
+        self, tmp_path, bench_dir, monkeypatch
+    ):
+        import lscd.pipeline as pipeline_module
+
+        load_corpus = pipeline_module.load_corpus
+        calls = []
+
+        def counting_load(path, period):
+            calls.append((str(path), period))
+            return load_corpus(path, period)
+
+        monkeypatch.setattr(pipeline_module, "load_corpus", counting_load)
+        # Unmasked, the dataset shares the corpus's sentence lists.
+        config = load_config(
+            write_config(tmp_path, bench_dir), overrides={"masked": False}
+        )
+        pipeline = Pipeline(config)
+        c1, c2 = pipeline._raw_corpora()
+        pipeline.run_all()
+        again = pipeline._raw_corpora()
+        assert again[0] is c1 and again[1] is c2
+        raw = [(str(config.corpus_t1), T1), (str(config.corpus_t2), T2)]
+        assert [c for c in calls if c in raw] == raw
+        assert len(calls) == 4  # plus the static stage's two ingest outputs
+        for corpus, (path, period) in zip((c1, c2), raw):
+            fresh = load_corpus(path, period)
+            assert corpus.period == fresh.period
+            assert corpus.sentences == fresh.sentences
 
 
 class TestPipelineErrors:

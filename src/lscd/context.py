@@ -3,13 +3,14 @@
 The built-in encoder is deliberately small: a token embedding table, a
 learned weight per offset -r..r that mixes each token's embedding with its
 neighbors, and a logistic head over the mean of the mixed vectors that
-predicts the sentence's period. The mixed vectors of an L-token sentence,
-``W_L @ rows`` with ``W_L`` the banded L x L matrix of the offset weights,
-double as word-use representations. The head never forms them: their mean
-is the coefficient-weighted sum ``coeffs @ rows / L`` (``coeffs`` being the
-column sums of ``W_L``), so one forward and backward pass costs O(L*d) and
-yields a sparse, one-row-per-token embedding gradient. Training, prediction
-and the gradient check share that pass. Anything honoring the same contract
+predicts the sentence's period. The mixed vectors double as word-use
+representations; extraction forms them only at the requested positions,
+one offset-weighted gather per offset, in O(uses * (2r+1) * d). The head
+never forms them: their mean is the coefficient-weighted sum
+``coeffs @ rows / L`` (``coeffs[j]`` being the total offset weight that
+reaches token j), so one forward and backward pass costs O(L*d) and yields a
+sparse, one-row-per-token embedding gradient. Training, prediction and the
+gradient check share that pass. Anything honoring the same contract
 (per-use vectors in the TSV format below) can be plugged in via import_uses.
 """
 
@@ -100,16 +101,13 @@ class TimeClassifier:
         return np.array([get(t, -1) for t in tokens], dtype=np.int64)
 
     def _embed(self, ids: np.ndarray) -> np.ndarray:
-        rows = self.embeddings.take(ids, axis=0)
-        if len(ids) and ids.min() < 0:
-            rows[ids < 0] = 0.0
-        return rows
+        return np.where((ids >= 0)[:, None], self.embeddings[ids], 0.0)
 
     def contextual_vectors(self, tokens: list[str]) -> np.ndarray:
         """Per-token contextual vectors: each token's embedding mixed with its
         neighbors under the learned offset weighting. Out-of-vocabulary tokens
         contribute a zero embedding."""
-        return _contextual(self, self.token_ids(tokens), {})
+        return _contextual(self, self.token_ids(tokens), np.arange(len(tokens)))
 
     def predict_proba(self, tokens: list[str]) -> float:
         """Probability that the sentence comes from the second period."""
@@ -125,23 +123,21 @@ def _sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def _band(offset_weights: np.ndarray, length: int) -> np.ndarray:
-    """The L x L mixing matrix W[i, j] = weight of offset j - i (0 outside
-    the radius): (W @ rows)[i] mixes token i with its existing neighbors."""
-    radius = (len(offset_weights) - 1) // 2
-    pos = np.arange(length)
-    offset = pos[None, :] - pos[:, None]
-    weights = offset_weights[np.clip(offset + radius, 0, 2 * radius)]
-    return np.where(np.abs(offset) <= radius, weights, 0.0)
-
-
 def _contextual(
-    model: TimeClassifier, ids: np.ndarray, bands: dict[int, np.ndarray]
+    model: TimeClassifier, ids: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
-    """W_L @ rows; `bands` caches W_L by length for the current weights."""
-    if len(ids) not in bands:
-        bands[len(ids)] = _band(model.offset_weights, len(ids))
-    return bands[len(ids)] @ model._embed(ids)
+    """Contextual vectors at `positions` of `ids`: the sum over offsets o of
+    weight[o] * the embedding row of ids[p + o], ids of -1 and positions past
+    either end giving zero rows. Sentences may share one `ids` if each is
+    followed by `radius` ids of -1. O(len(positions) * (2r+1) * d)."""
+    radius = model.radius
+    window = np.pad(ids, radius, constant_values=-1)[
+        positions[:, None] + np.arange(2 * radius + 1)
+    ]
+    out = np.zeros((len(positions), model.embeddings.shape[1]))
+    for k, weight in enumerate(model.offset_weights):
+        out += weight * model._embed(window[:, k])
+    return out
 
 
 @lru_cache(maxsize=256)
@@ -203,13 +199,13 @@ def _sgd_update(
 ) -> float:
     """One SGD step, every gradient taken at the pre-step parameters; returns
     the pre-step loss. All `ids` must be in the vocabulary."""
+    if ids.min() < 0:
+        raise ValueError("an out-of-vocabulary token has no embedding row")
     loss, grads = classifier_loss_and_grads(model, ids, label, step=step)
     model.head_w -= lr * grads["head_w"]
     model.head_b -= lr * float(grads["head_b"])
     model.offset_weights -= lr * grads["offset_weights"]
-    d = model.embeddings.shape[1]
-    flat = (ids[:, None] * d + np.arange(d)).ravel()
-    np.add.at(model.embeddings.reshape(-1), flat, -lr * grads["embeddings"].ravel())
+    np.add.at(model.embeddings, ids, -lr * grads["embeddings"])
     return loss
 
 
@@ -309,23 +305,26 @@ def extract_uses(
     do with it.
     """
     wanted = set(targets)
-    collected: dict[str, list[np.ndarray]] = {w: [] for w in targets}
+    separator = np.full(model.radius, -1, dtype=np.int64)
+    pieces: list[np.ndarray] = []
+    positions: dict[str, list[int]] = {w: [] for w in targets}
     indices: dict[str, list[int]] = {w: [] for w in targets}
-    bands: dict[int, np.ndarray] = {}
+    start = 0
     for si, sentence in enumerate(corpus.sentences):
         if wanted.isdisjoint(sentence):
             continue
-        vectors = _contextual(model, model.token_ids(sentence), bands)
         for pos, token in enumerate(sentence):
             if token in wanted:
-                collected[token].append(vectors[pos])
+                positions[token].append(start + pos)
                 indices[token].append(si)
-    dim = model.embeddings.shape[1]
+        pieces += [model.token_ids(sentence), separator]
+        start += len(sentence) + len(separator)
+    ids = np.concatenate(pieces) if pieces else separator
     return [
         UseSet(
             word=w,
             period=corpus.period,
-            vectors=np.array(collected[w]).reshape(len(collected[w]), dim),
+            vectors=_contextual(model, ids, np.array(positions[w], dtype=np.int64)),
             sentence_indices=indices[w],
         )
         for w in targets

@@ -281,7 +281,7 @@ class Pipeline:
         self.cfg = config
         self.stages: dict[str, StageResult] = {}
         self._file_hashes: dict[str, str] = {}
-        self._corpora: dict[tuple[str, str], Corpus] = {}
+        self._corpora: tuple[Corpus, Corpus] | None = None
 
     # -- plumbing ---------------------------------------------------------
 
@@ -294,13 +294,12 @@ class Pipeline:
         return self._file_hashes[key]
 
     def _raw_corpora(self) -> tuple[Corpus, Corpus]:
-        """Both input corpora, each parsed once per Pipeline (keyed by path
-        and period); stages only read them."""
-        keys = ((str(self.cfg.corpus_t1), T1), (str(self.cfg.corpus_t2), T2))
-        for key in keys:
-            if key not in self._corpora:
-                self._corpora[key] = load_corpus(*key)
-        return self._corpora[keys[0]], self._corpora[keys[1]]
+        """Both input corpora, parsed once and shared by the stages that read
+        them (none modifies them) until `run_all` releases them."""
+        if self._corpora is None:
+            cfg = self.cfg
+            self._corpora = load_corpus(cfg.corpus_t1, T1), load_corpus(cfg.corpus_t2, T2)
+        return self._corpora
 
     def _ensure(self, name: str, payload: dict, build) -> StageResult:
         if name in self.stages:
@@ -664,6 +663,10 @@ class Pipeline:
         """Execute the full pipeline, publish the answer files and write the
         run manifest. Returns a report of what ran and what was reused."""
         cfg = self.cfg
+        # Raw-corpus stages first: each corpus parsed once, freed before SGNS.
+        self.ingest()
+        self.extract()
+        self._corpora = None
         ensemble_stage = self.ensemble()
         if cfg.gold is not None or cfg.binary_gold is not None:
             self.evaluate()

@@ -165,6 +165,23 @@ class TestSharedPass:
         assert np.array_equal(model.embeddings, before.embeddings)
         assert np.array_equal(model.offset_weights, before.offset_weights)
 
+    def test_out_of_vocabulary_id_rejected_before_any_update(self):
+        model = small_model()
+        before = copy.deepcopy(model)
+        with pytest.raises(ValueError):
+            _sgd_update(model, np.array([1, -1, 2]), 1, 0.1, step=1)
+        assert np.array_equal(model.embeddings, before.embeddings)
+        assert np.array_equal(model.head_w, before.head_w)
+
+    def test_update_reaches_non_contiguous_embeddings(self):
+        model = small_model(seed=8)
+        fortran = copy.deepcopy(model)
+        fortran.embeddings = np.asfortranarray(fortran.embeddings)
+        ids = np.array([3, 1, 3, 7])
+        _sgd_update(model, ids, 1, 0.2, step=1)
+        _sgd_update(fortran, ids, 1, 0.2, step=1)
+        assert np.array_equal(fortran.embeddings, model.embeddings)
+
     @pytest.mark.parametrize("radius", [0, 2, 5])
     def test_pooled_logit_matches_mix_oracle(self, radius):
         # The pooled vector is the mean of the reference mix, out-of-vocabulary
@@ -345,6 +362,30 @@ class TestExtraction:
             if length:
                 uses = extract_uses(model, Corpus([tokens], T1), [tokens[-1]])[0]
                 assert np.array_equal(uses.vectors[-1], got[-1])
+
+    def test_long_sentences_match_mix_oracle_exactly(self):
+        # One 2000-token sentence between short ones: extraction adds the
+        # offsets in the oracle's order, so the vectors (and the use-set
+        # files) are bit-identical to it.
+        model = small_model(seed=9, radius=5)
+        rng = np.random.default_rng(10)
+        sentences = [
+            [f"w{i}" if i < 10 else "oov" for i in rng.integers(0, 11, size=n)]
+            for n in (3, 2000, 1, 7)
+        ]
+        uses = extract_uses(model, Corpus(sentences, T1), ["w0", "w5"])
+        for use_set in uses:
+            expected = [
+                reference_mix(reference_embed(model, s), model.offset_weights)[pos]
+                for s in sentences
+                for pos, token in enumerate(s)
+                if token == use_set.word
+            ]
+            assert len(expected) > 100
+            assert np.array_equal(use_set.vectors, np.array(expected))
+        long = model.contextual_vectors(sentences[1])
+        oracle = reference_mix(reference_embed(model, sentences[1]), model.offset_weights)
+        assert np.array_equal(long, oracle)
 
     def test_deterministic(self, rng):
         model = small_model()

@@ -249,31 +249,44 @@ class TestPipelineRun:
 
 
 class TestCorpusMemo:
-    def test_raw_corpora_parsed_once_shared_and_unmodified(
+    def test_raw_corpora_parsed_once_shared_unmodified_and_freed(
         self, tmp_path, bench_dir, monkeypatch
     ):
         import lscd.pipeline as pipeline_module
 
+        calls, loaded, extracted = [], [], []
         load_corpus = pipeline_module.load_corpus
-        calls = []
+        extract_uses = pipeline_module.extract_uses
+        train_sgns = pipeline_module.train_sgns
 
         def counting_load(path, period):
             calls.append((str(path), period))
-            return load_corpus(path, period)
+            loaded.append(load_corpus(path, period))
+            return loaded[-1]
+
+        def recording_extract(model, corpus, targets):
+            extracted.append(corpus)
+            return extract_uses(model, corpus, targets)
+
+        def checked_sgns(*args, **kwargs):
+            assert pipeline._corpora is None  # never held while SGNS trains
+            return train_sgns(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "load_corpus", counting_load)
+        monkeypatch.setattr(pipeline_module, "extract_uses", recording_extract)
+        monkeypatch.setattr(pipeline_module, "train_sgns", checked_sgns)
         # Unmasked, the dataset shares the corpus's sentence lists.
         config = load_config(
             write_config(tmp_path, bench_dir), overrides={"masked": False}
         )
         pipeline = Pipeline(config)
-        c1, c2 = pipeline._raw_corpora()
         pipeline.run_all()
-        again = pipeline._raw_corpora()
-        assert again[0] is c1 and again[1] is c2
         raw = [(str(config.corpus_t1), T1), (str(config.corpus_t2), T2)]
         assert [c for c in calls if c in raw] == raw
         assert len(calls) == 4  # plus the static stage's two ingest outputs
+        c1, c2 = loaded[calls.index(raw[0])], loaded[calls.index(raw[1])]
+        assert extracted[0] is c1 and extracted[1] is c2
+        assert pipeline._corpora is None
         for corpus, (path, period) in zip((c1, c2), raw):
             fresh = load_corpus(path, period)
             assert corpus.period == fresh.period

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import T1, T2, Corpus
+from .corpus import T1, T2, Corpus, write_corpus
 from .ensemble import CHANGED, Ranking, average_ranks, binarize
 
 _COMMON_WORDS = 150
@@ -151,10 +151,8 @@ def write_benchmark(benchmark: SyntheticBenchmark, out_dir: str | Path) -> dict[
         "gold": out / "gold.tsv",
         "binary_gold": out / "gold_binary.tsv",
     }
-    for key, corpus in (("corpus_t1", benchmark.corpus_t1), ("corpus_t2", benchmark.corpus_t2)):
-        with open(paths[key], "w", encoding="utf-8") as fh:
-            for sentence in corpus.sentences:
-                fh.write(" ".join(sentence) + "\n")
+    write_corpus(benchmark.corpus_t1, paths["corpus_t1"])
+    write_corpus(benchmark.corpus_t2, paths["corpus_t2"])
     with open(paths["targets"], "w", encoding="utf-8") as fh:
         for word in benchmark.targets:
             fh.write(word + "\n")

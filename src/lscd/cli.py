@@ -9,10 +9,11 @@ whole pipeline and writes the answer files plus the run manifest.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .errors import LscdError, StageError
-from .pipeline import Pipeline, load_config, run_benchmark_generation
+from .pipeline import Pipeline, PipelineConfig, load_config, run_benchmark_generation
 
 _STAGE_COMMANDS = {
     "ingest": ("ingest", "Load, validate and frequency-threshold the corpora"),
@@ -30,28 +31,28 @@ _STAGE_COMMANDS = {
 
 def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", required=True, help="path to the run config file")
-    parser.add_argument("--seed", type=int, default=None, help="override [run] seed")
+    # Each override's dest is the PipelineConfig field it sets; an absent
+    # flag leaves no attribute, so the config file's value stands.
     parser.add_argument(
-        "--deterministic",
-        action="store_true",
-        default=None,
-        help="force single-worker deterministic execution",
+        "--seed", type=int, default=argparse.SUPPRESS, help="override [run] seed"
     )
     parser.add_argument(
         "--theta",
         type=float,
-        default=None,
+        default=argparse.SUPPRESS,
         help="override the ensemble weight instead of predicting it",
     )
     parser.add_argument(
         "--no-mask",
-        action="store_true",
+        dest="masked",
+        action="store_false",
+        default=argparse.SUPPRESS,
         help="build the classification dataset without masking corpus-unique words",
     )
     parser.add_argument(
         "--pair-budget",
         type=int,
-        default=None,
+        default=argparse.SUPPRESS,
         help="subsample at most this many vector pairs per word in MPE scoring",
     )
 
@@ -83,23 +84,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_overrides(args: argparse.Namespace) -> dict:
-    overrides: dict = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.deterministic:
-        overrides["deterministic"] = True
-    if args.theta is not None:
-        overrides["theta"] = args.theta
-    if args.no_mask:
-        overrides["masked"] = False
-    if args.pair_budget is not None:
-        overrides["pair_budget"] = args.pair_budget
-    return overrides
-
-
 def _run_stage(command: str, args: argparse.Namespace) -> int:
-    config = load_config(args.config, overrides=_config_overrides(args))
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(PipelineConfig)
+        if hasattr(args, f.name)
+    }
+    config = load_config(args.config, overrides=overrides)
     pipeline = Pipeline(config)
     method_name, _ = _STAGE_COMMANDS[command]
     getattr(pipeline, method_name)()

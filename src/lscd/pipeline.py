@@ -92,7 +92,7 @@ class PipelineConfig:
     corpus_t1: Path
     corpus_t2: Path
     targets: Path
-    output_dir: Path
+    output_dir: Path = Path("out")
     gold: Path | None = None
     binary_gold: Path | None = None
     masked: bool = True
@@ -104,7 +104,6 @@ class PipelineConfig:
     theta: float | None = None  # None: predict from classifier accuracy
     grid_step: float | None = None
     seed: int = 42
-    deterministic: bool = True
 
     def validate(self) -> None:
         for name in ("corpus_t1", "corpus_t2", "targets", "gold", "binary_gold"):
@@ -123,121 +122,93 @@ class PipelineConfig:
             return None
         return int(self.threshold)
 
-    def as_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        for key, value in d.items():
-            if isinstance(value, Path):
-                d[key] = str(value)
-        d["align_steps"] = list(self.align_steps)
-        return d
+
+def _optional(parse, unset=("", "none")):
+    return lambda text: None if text.lower() in unset else parse(text)
 
 
-def _parse_optional(text: str):
-    return None if text.strip().lower() in ("", "none") else text.strip()
+def _boolean(text: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"not a boolean: {text!r}") from None
+
+
+def _steps(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# The accepted config keys: [section] key -> (field it sets, parser of its
+# text). Keys under [sgns] and [encoder] set SgnsConfig and EncoderConfig
+# fields, all others PipelineConfig fields; the defaults live only there.
+_CONFIG_KEYS = {
+    "paths": {
+        "corpus_t1": ("corpus_t1", Path),
+        "corpus_t2": ("corpus_t2", Path),
+        "targets": ("targets", Path),
+        "gold": ("gold", _optional(Path)),
+        "binary_gold": ("binary_gold", _optional(Path)),
+        "output_dir": ("output_dir", Path),
+    },
+    "corpus": {"masked": ("masked", _boolean), "threshold": ("threshold", str)},
+    "sgns": {
+        "dimension": ("dimension", int),
+        "window": ("window", int),
+        "negatives": ("negatives", int),
+        "epochs": ("epochs", int),
+        "learning_rate": ("initial_learning_rate", float),
+        "noise_exponent": ("noise_exponent", float),
+        "subsample_threshold": ("subsample_threshold", _optional(float)),
+    },
+    "encoder": {
+        "dimension": ("dimension", int),
+        "context_radius": ("context_radius", int),
+        "epochs": ("epochs", int),
+        "learning_rate": ("learning_rate", float),
+    },
+    "align": {"preprocessing": ("align_steps", _steps)},
+    "scoring": {"pair_budget": ("pair_budget", _optional(int))},
+    "ensemble": {
+        "theta": ("theta", _optional(float, ("", "none", "auto"))),
+        "grid_step": ("grid_step", _optional(float)),
+    },
+    "run": {"seed": ("seed", int)},
+}
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> PipelineConfig:
-    """Read the key=value config file (section headers, one key per line).
+    """Read the key=value config file (section headers, one key per line,
+    `;` comments).
 
     Every key has a documented default; unknown keys are rejected so typos
     cannot silently fall back to defaults.
     """
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     read = parser.read(path)
     if not read:
         raise FileNotFoundError(f"config file {path} not found")
 
-    known = {
-        "paths": {"corpus_t1", "corpus_t2", "targets", "gold", "binary_gold", "output_dir"},
-        "corpus": {"masked", "threshold"},
-        "sgns": {
-            "dimension",
-            "window",
-            "negatives",
-            "epochs",
-            "learning_rate",
-            "noise_exponent",
-            "subsample_threshold",
-        },
-        "encoder": {"dimension", "context_radius", "epochs", "learning_rate"},
-        "align": {"preprocessing"},
-        "scoring": {"pair_budget"},
-        "ensemble": {"theta", "grid_step"},
-        "run": {"seed", "deterministic"},
-    }
+    values: dict[str, dict] = {"sgns": {}, "encoder": {}, "": {}}
     for section in parser.sections():
-        if section not in known:
+        if section not in _CONFIG_KEYS:
             raise ValueError(f"unknown config section [{section}]")
-        unknown = set(parser[section]) - known[section]
+        keys = _CONFIG_KEYS[section]
+        unknown = set(parser[section]) - set(keys)
         if unknown:
             raise ValueError(
                 f"unknown key(s) in [{section}]: {', '.join(sorted(unknown))}"
             )
+        for key, text in parser[section].items():
+            name, parse = keys[key]
+            values.get(section, values[""])[name] = parse(text)
 
-    def get(section, key, fallback):
-        return parser.get(section, key, fallback=fallback)
-
-    paths = parser["paths"] if parser.has_section("paths") else {}
     for required in ("corpus_t1", "corpus_t2", "targets"):
-        if required not in paths:
+        if required not in values[""]:
             raise ValueError(f"config is missing [paths] {required}")
-
-    sgns_defaults = SgnsConfig()
-    sub = _parse_optional(get("sgns", "subsample_threshold", "none") or "none")
-    sgns = SgnsConfig(
-        dimension=int(get("sgns", "dimension", sgns_defaults.dimension)),
-        window=int(get("sgns", "window", sgns_defaults.window)),
-        negatives=int(get("sgns", "negatives", sgns_defaults.negatives)),
-        epochs=int(get("sgns", "epochs", sgns_defaults.epochs)),
-        initial_learning_rate=float(
-            get("sgns", "learning_rate", sgns_defaults.initial_learning_rate)
-        ),
-        noise_exponent=float(
-            get("sgns", "noise_exponent", sgns_defaults.noise_exponent)
-        ),
-        subsample_threshold=None if sub is None else float(sub),
-    )
-    enc_defaults = EncoderConfig()
-    encoder = EncoderConfig(
-        dimension=int(get("encoder", "dimension", enc_defaults.dimension)),
-        context_radius=int(
-            get("encoder", "context_radius", enc_defaults.context_radius)
-        ),
-        epochs=int(get("encoder", "epochs", enc_defaults.epochs)),
-        learning_rate=float(
-            get("encoder", "learning_rate", enc_defaults.learning_rate)
-        ),
-    )
-
-    gold = _parse_optional(get("paths", "gold", "none") or "none")
-    binary_gold = _parse_optional(get("paths", "binary_gold", "none") or "none")
-    budget = _parse_optional(get("scoring", "pair_budget", "none") or "none")
-    theta = _parse_optional(get("ensemble", "theta", "auto") or "auto")
-    if theta == "auto":
-        theta = None
-    grid_step = _parse_optional(get("ensemble", "grid_step", "none") or "none")
-
     config = PipelineConfig(
-        corpus_t1=Path(paths["corpus_t1"]),
-        corpus_t2=Path(paths["corpus_t2"]),
-        targets=Path(paths["targets"]),
-        output_dir=Path(get("paths", "output_dir", "out")),
-        gold=Path(gold) if gold else None,
-        binary_gold=Path(binary_gold) if binary_gold else None,
-        masked=parser.getboolean("corpus", "masked", fallback=True),
-        threshold=get("corpus", "threshold", "auto"),
-        sgns=sgns,
-        encoder=encoder,
-        align_steps=tuple(
-            s.strip()
-            for s in get("align", "preprocessing", "normalize,center").split(",")
-            if s.strip()
-        ),
-        pair_budget=int(budget) if budget else None,
-        theta=float(theta) if theta is not None else None,
-        grid_step=float(grid_step) if grid_step else None,
-        seed=int(get("run", "seed", 42)),
-        deterministic=parser.getboolean("run", "deterministic", fallback=True),
+        **values[""],
+        sgns=SgnsConfig(**values["sgns"]),
+        encoder=EncoderConfig(**values["encoder"]),
     )
     if overrides:
         config = dataclasses.replace(config, **overrides)
@@ -639,9 +610,9 @@ class Pipeline:
                     rows.append(("ensemble", "theta_grid_search", best.value))
             if cfg.binary_gold is not None:
                 binary_gold = load_binary_gold(cfg.binary_gold)
-                predicted = _read_binary(ensemble_stage.path / "binary_ensemble.tsv")
+                predicted = load_binary_gold(ensemble_stage.path / "binary_ensemble.tsv")
                 rows.append(
-                    ("ensemble", "binary_accuracy", binary_accuracy(predicted, binary_gold))
+                    ("ensemble", "binary_accuracy", binary_accuracy(predicted.binary, binary_gold))
                 )
             with open(directory / "report.tsv", "w", encoding="utf-8") as fh:
                 fh.write("model\tmetric\tvalue\n")
@@ -689,7 +660,7 @@ class Pipeline:
             "package_version": __version__,
             "python_version": platform.python_version(),
             "numpy_version": np.__version__,
-            "config": self.cfg.as_dict(),
+            "config": dataclasses.asdict(cfg),
             "inputs": {
                 "corpus_t1": self._hash(cfg.corpus_t1),
                 "corpus_t2": self._hash(cfg.corpus_t2),
@@ -704,7 +675,8 @@ class Pipeline:
             "stages": {name: res.key for name, res in sorted(self.stages.items())},
         }
         (cfg.output_dir / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(manifest, indent=2, sort_keys=True, default=str) + "\n",
+            encoding="utf-8",
         )
         run_sentinel.touch()
         return self.report()
@@ -747,15 +719,6 @@ def _read_rankings(path: Path) -> dict[str, Ranking]:
     return {
         name: Ranking(ranks=ranks, source=name) for name, ranks in columns.items()
     }
-
-
-def _read_binary(path: Path) -> dict[str, int]:
-    labels = {}
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            word, value = line.rstrip("\n").split("\t")
-            labels[word] = int(value)
-    return labels
 
 
 def run_benchmark_generation(

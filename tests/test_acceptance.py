@@ -314,7 +314,7 @@ def test_deterministic_reruns_byte_identical(bench_files, tmp_path):
     )
 
     def run_once() -> tuple[dict[str, bytes], bytes]:
-        config = load_config(config_path, overrides={"deterministic": True})
+        config = load_config(config_path)
         Pipeline(config).run_all()
         answers = {
             p.name: p.read_bytes() for p in sorted((out / "answers").iterdir())

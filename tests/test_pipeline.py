@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from lscd.cli import main
+from lscd.cli import build_parser, main
 from lscd.corpus import T1, T2
 from lscd.errors import StageError
 from lscd.pipeline import (
     Pipeline,
+    PipelineConfig,
     derive_seed,
     load_config,
     run_benchmark_generation,
@@ -75,11 +77,12 @@ class TestConfig:
         assert config.seed == 7
 
     def test_unknown_key_rejected(self, tmp_path, bench_dir):
-        path = write_config(tmp_path, bench_dir)
-        text = path.read_text().replace("[sgns]", "[sgns]\ntypo_key = 3")
-        path.write_text(text)
-        with pytest.raises(ValueError, match="typo_key"):
-            load_config(path)
+        for section, key in (("[sgns]", "typo_key"), ("[run]", "deterministic")):
+            path = write_config(tmp_path, bench_dir)
+            text = path.read_text().replace(section, f"{section}\n{key} = true")
+            path.write_text(text)
+            with pytest.raises(ValueError, match=key):
+                load_config(path)
 
     def test_unknown_section_rejected(self, tmp_path, bench_dir):
         path = write_config(tmp_path, bench_dir, extra="\n[mystery]\nx = 1\n")
@@ -108,6 +111,31 @@ class TestConfig:
         assert config.theta == 0.5
         assert config.masked is False
         assert config.pair_budget == 500
+
+    def test_readme_config_blocks_load(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        quick_start, reference = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bench").mkdir()
+        for name in ("corpus_t1.txt", "corpus_t2.txt", "targets.txt", "gold.tsv", "gold_binary.tsv"):
+            (tmp_path / "bench" / name).touch()
+
+        (tmp_path / "quick.ini").write_text(quick_start, encoding="utf-8")
+        config = load_config("quick.ini")
+        assert config.gold == Path("bench/gold.tsv")
+        assert config.binary_gold == Path("bench/gold_binary.tsv")
+        assert config.sgns.window == 5 and config.encoder.context_radius == 3
+
+        # The reference block lists every key at its default.
+        required = "corpus_t1 = bench/corpus_t1.txt\ncorpus_t2 = bench/corpus_t2.txt\n"
+        required += "targets = bench/targets.txt\n"
+        text = reference.replace("[paths]\n", "[paths]\n" + required, 1)
+        (tmp_path / "reference.ini").write_text(text, encoding="utf-8")
+        assert load_config("reference.ini") == PipelineConfig(
+            corpus_t1=Path("bench/corpus_t1.txt"),
+            corpus_t2=Path("bench/corpus_t2.txt"),
+            targets=Path("bench/targets.txt"),
+        )
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(7, "sgns-t1") == derive_seed(7, "sgns-t1")
@@ -168,7 +196,6 @@ class TestPipelineRun:
             "theta",
             "grid_step",
             "seed",
-            "deterministic",
         ):
             assert field_name in manifest["config"]
         assert manifest["inputs"]["corpus_t1"]
@@ -334,7 +361,7 @@ class TestCli:
         bench = tmp_path / "bench"
         main(["gen-bench", "--out", str(bench), "--targets", "4", "--sentences", "300", "--seed", "2"])
         config_path = write_config(tmp_path, bench)
-        assert main(["run-all", "--config", str(config_path), "--deterministic"]) == 0
+        assert main(["run-all", "--config", str(config_path)]) == 0
         out = capsys.readouterr().out
         assert "answers:" in out and "spearman" in out
 
@@ -348,6 +375,19 @@ class TestCli:
         assert main(["score", "--config", str(config_path), "--pair-budget", "50"]) == 0
         score_dirs = sorted((tmp_path / "out" / "scores").iterdir())
         assert len(score_dirs) == 2
+
+    def test_override_flags_reach_their_fields(self, tmp_path, bench_dir):
+        config_path = write_config(tmp_path, bench_dir)
+        argv = ["run-all", "--config", str(config_path)]
+        flags = ["--seed", "11", "--theta", "0.25", "--no-mask", "--pair-budget", "50"]
+        assert main(argv + flags) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        config = manifest["config"]
+        assert (config["seed"], config["theta"]) == (11, 0.25)
+        assert (config["masked"], config["pair_budget"]) == (False, 50)
+        # Absent flags override nothing: the file's values stand.
+        args = build_parser().parse_args(argv)
+        assert not {"seed", "theta", "masked", "pair_budget"} & set(vars(args))
 
     def test_cli_error_exit_code(self, tmp_path, capsys):
         assert main(["run-all", "--config", str(tmp_path / "none.ini")]) == 1

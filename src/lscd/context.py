@@ -27,6 +27,7 @@ from .corpus import T2, PERIODS, Corpus, TimeClfDataset, TRAIN, TEST
 from .errors import DatasetError, FormatError, TrainingDivergedError
 
 _LR_FLOOR_FACTOR = 1e-2
+_LOSS_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,8 @@ class ClfMetrics:
     example_counts: dict[str, int]
     # Per epoch: the mean binary cross-entropy of its steps, before each update.
     train_loss: list[float] = field(default_factory=list)
+    # Mean binary cross-entropy over the test examples, after training.
+    test_loss: float = math.nan
 
 
 @dataclass
@@ -114,6 +117,11 @@ class TimeClassifier:
         if not tokens:
             raise ValueError("cannot classify an empty sentence")
         return float(_sigmoid(_forward(self, self.token_ids(tokens))[3]))
+
+
+def _bce(p: float, y: float) -> float:
+    """Binary cross-entropy of probability `p` against label `y` in {0, 1}."""
+    return -(y * math.log(p + _LOSS_EPS) + (1.0 - y) * math.log(1.0 - p + _LOSS_EPS))
 
 
 def _sigmoid(z: float) -> float:
@@ -177,8 +185,7 @@ def classifier_loss_and_grads(
         raise TrainingDivergedError(f"non-finite activation at step {step}", step=step)
     p = _sigmoid(z)
     y = float(label)
-    eps = 1e-12
-    loss = -(y * math.log(p + eps) + (1.0 - y) * math.log(1.0 - p + eps))
+    loss = _bce(p, y)
 
     dz = p - y
     scale = dz / len(ids)
@@ -275,11 +282,14 @@ def _evaluate(
 ) -> ClfMetrics:
     hits = {p: 0 for p in PERIODS}
     counts = {p: 0 for p in PERIODS}
+    loss_sum = 0.0
     for i in test_idx:
         tokens, label = dataset.examples[i]
         if not tokens:
             continue
-        predicted = T2 if model.predict_proba(tokens) > 0.5 else PERIODS[0]
+        p = model.predict_proba(tokens)
+        loss_sum += _bce(p, 1.0 if label == T2 else 0.0)
+        predicted = T2 if p > 0.5 else PERIODS[0]
         counts[label] += 1
         if predicted == label:
             hits[label] += 1
@@ -291,7 +301,10 @@ def _evaluate(
     }
     accuracy = sum(hits.values()) / total
     return ClfMetrics(
-        accuracy=accuracy, per_label_accuracy=per_label, example_counts=counts
+        accuracy=accuracy,
+        per_label_accuracy=per_label,
+        example_counts=counts,
+        test_loss=loss_sum / total,
     )
 
 
@@ -386,9 +399,11 @@ def export_uses(use_sets: list[UseSet], path: str | Path) -> None:
 def import_uses(path: str | Path) -> list[UseSet]:
     """Read the use-set TSV, grouping rows by (word, period) in order of
     first appearance. Raises FormatError (with the line number) on ragged
-    vector dimensions or malformed rows."""
-    groups: dict[tuple[str, str], tuple[list[np.ndarray], list[int]]] = {}
-    dim: int | None = None
+    vector dimensions or malformed rows. Blank lines are skipped."""
+    keys: list[tuple[str, str]] = []
+    sids: list[int] = []
+    fields: list[str] = []
+    lines: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
@@ -400,25 +415,46 @@ def import_uses(path: str | Path) -> list[UseSet]:
             if period not in PERIODS:
                 raise FormatError(f"unknown period {period!r}", line=i)
             try:
-                si = int(si_str)
-                vec = np.array([float(x) for x in vec_str.split()])
+                sids.append(int(si_str))
             except ValueError as exc:
                 raise FormatError("malformed use-set row", line=i) from exc
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise FormatError(
-                    f"vector dimension {len(vec)} != {dim}", line=i
-                )
-            vectors, sids = groups.setdefault((word, period), ([], []))
-            vectors.append(vec)
-            sids.append(si)
+            keys.append((word, period))
+            fields.append(vec_str)
+            lines.append(i)
+    vectors = _parse_vectors(fields, lines)
+    groups: dict[tuple[str, str], list[int]] = {}
+    for row, key in enumerate(keys):
+        groups.setdefault(key, []).append(row)
     return [
         UseSet(
             word=word,
             period=period,
-            vectors=np.array(vectors),
-            sentence_indices=sids,
+            vectors=vectors[rows],
+            sentence_indices=[sids[r] for r in rows],
         )
-        for (word, period), (vectors, sids) in groups.items()
+        for (word, period), rows in groups.items()
     ]
+
+
+def _parse_vectors(fields: list[str], lines: list[int]) -> np.ndarray:
+    """The space-separated vectors of `fields` as one (rows, d) array, parsed
+    by one np.loadtxt call (which rounds exactly as float() does). Only when
+    that fails does a per-row pass run, to name the bad line."""
+    if not fields:
+        return np.empty((0, 0))
+    try:
+        vectors = np.loadtxt(fields, ndmin=2, comments=None)
+        if len(vectors) == len(fields):
+            return vectors
+    except ValueError:
+        pass
+    rows = []
+    for i, text in zip(lines, fields):
+        try:
+            vec = [float(x) for x in text.split()]
+        except ValueError as exc:
+            raise FormatError("malformed use-set row", line=i) from exc
+        if rows and len(vec) != len(rows[0]):
+            raise FormatError(f"vector dimension {len(vec)} != {len(rows[0])}", line=i)
+        rows.append(vec)
+    return np.array(rows, dtype=float)

@@ -114,6 +114,10 @@ class PipelineConfig:
             int(self.threshold)  # raises ValueError if not an integer literal
         if self.theta is not None and not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta override must be in [0, 1]")
+        if self.pair_budget is not None and self.pair_budget < 1:
+            raise ValueError(
+                f"[scoring] pair_budget must be >= 1, got {self.pair_budget}"
+            )
 
     def threshold_for(self, total_sentences: int) -> int | None:
         if self.threshold == "auto":
@@ -443,7 +447,7 @@ class Pipeline:
             ] + [
                 (f"train_loss_epoch{k}", loss)
                 for k, loss in enumerate(metrics.train_loss, start=1)
-            ]
+            ] + [("test_loss", metrics.test_loss)]
             with open(directory / "metrics.tsv", "w", encoding="utf-8") as fh:
                 for name, value in rows:
                     fh.write(f"{name}\t{format(value, _FLOAT_FMT)}\n")

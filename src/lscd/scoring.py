@@ -8,6 +8,16 @@ periods' sets of word-use vectors,
 
 computed exactly over all pairs by default; a seeded uniform pair subsample
 can be enabled for very frequent words.
+
+The exact mean costs O(m * n * d) but runs as BLAS products. Both sets are
+centered on the mean of their union (distances are translation invariant),
+and each row block's squared distances come from the Gram expansion
+|a|^2 + |b|^2 - 2 a.b with one matrix product. Where a pair's squared
+distance falls below a fixed fraction of |a|^2 + |b|^2, the expansion has
+cancelled most of its digits (near-duplicate uses); those few pairs are
+recomputed directly as sum_k (a_k - b_k)^2 from the input rows. A row
+block's squared-distance matrix, and each temporary beside it, holds at most
+`_BLOCK_ELEMENTS` values (a single row when n exceeds that).
 """
 
 from __future__ import annotations
@@ -27,6 +37,22 @@ CONTEXT_DEPENDENT = "context_dependent"
 
 # Cap on the elements of one pairwise-distance block, to bound memory.
 _BLOCK_ELEMENTS = 2**21
+
+# Pairs whose Gram-expansion squared distance is below this fraction of
+# S = |a|^2 + |b|^2 (centered rows) are recomputed directly. With unit
+# roundoff u and gamma_d = d*u / (1 - d*u), each computed inner product of
+# length d is off by at most gamma_d * |x| * |y| (Higham, Accuracy and
+# Stability of Numerical Algorithms, 3.1). So |a|^2 and |b|^2 are off by at
+# most gamma_d * S together, 2 a.b by at most 2 gamma_d |a| |b| <= gamma_d * S,
+# and the two additions by 3u * S: about (2d + 3) u * S in all. Where the
+# squared distance is at least f * S its relative error is at most
+# (2d + 3) u / f, and the distance's half that. With f = 1/8 this stays
+# below 1e-12 for d up to 1100 (2.7e-13 at d = 300). Rounding in the
+# centering moves a distance by at most u * (|a| + |b|) <= u * sqrt(2 S),
+# under 4u relative on the kept pairs. The recomputed pairs read the
+# uncentered rows, so neither bound applies to them; on the synthetic
+# benchmark's 500 x 500 use sets at d = 128 they are at most 3 of 250 000.
+_RECOMPUTE_FRACTION = 0.125
 
 
 @dataclass
@@ -79,9 +105,17 @@ def mpe_distance(
 ) -> float:
     """Mean over all pairwise L2 distances between two sets of vectors.
 
+    Exact by default: the sets are centered on the mean of their union and
+    each block of rows gets its squared distances from one matrix product,
+    |a|^2 + |b|^2 - 2 a.b, clamped at 0. Pairs whose squared distance is
+    below `_RECOMPUTE_FRACTION` of |a|^2 + |b|^2 lost most of their digits
+    to cancellation and are recomputed directly from the input rows. Each
+    block's temporaries hold at most `_BLOCK_ELEMENTS` values (one row of
+    n when n exceeds that).
+
     With a pair budget set and fewer pairs than budget available the exact
     mean is returned; otherwise `pair_budget` pairs are sampled uniformly
-    (seeded, with replacement).
+    (seeded, with replacement). The budget must be at least 1.
     """
     a = np.asarray(uses_t1, dtype=np.float64)
     b = np.asarray(uses_t2, dtype=np.float64)
@@ -91,6 +125,8 @@ def mpe_distance(
         raise ValueError("use sets must be non-empty")
     if a.shape[1] != b.shape[1]:
         raise ValueError("use sets have different dimensionality")
+    if pair_budget is not None and pair_budget < 1:
+        raise ValueError(f"pair_budget must be >= 1, got {pair_budget}")
     # Canonical operand order makes d(A, B) and d(B, A) run the identical
     # float computation, so symmetry holds exactly.
     if (len(b), b.tobytes()) < (len(a), a.tobytes()):
@@ -103,11 +139,28 @@ def mpe_distance(
         jj = rng.integers(0, n, size=pair_budget)
         return float(np.linalg.norm(a[ii] - b[jj], axis=1).mean())
 
-    block = max(1, _BLOCK_ELEMENTS // (n * a.shape[1]))
+    center = (a.sum(axis=0) + b.sum(axis=0)) / (m + n)
+    a_c = a - center
+    b_c = b - center
+    sq_a = np.einsum("ij,ij->i", a_c, a_c)
+    sq_b = np.einsum("ij,ij->i", b_c, b_c)
+    block = max(1, _BLOCK_ELEMENTS // n)
+    redo_block = max(1, _BLOCK_ELEMENTS // a.shape[1])
     total = 0.0
     for start in range(0, m, block):
-        diff = a[start : start + block, None, :] - b[None, :, :]
-        total += float(np.sqrt((diff * diff).sum(axis=2)).sum())
+        d2 = a_c[start : start + block] @ b_c.T
+        d2 *= -2.0
+        scale = sq_a[start : start + block, None] + sq_b
+        d2 += scale
+        scale *= _RECOMPUTE_FRACTION
+        ii, jj = np.nonzero(d2 < scale)
+        del scale
+        for k in range(0, len(ii), redo_block):
+            i, j = ii[k : k + redo_block], jj[k : k + redo_block]
+            diff = a[start + i] - b[j]
+            d2[i, j] = np.einsum("ij,ij->i", diff, diff)
+        np.maximum(d2, 0.0, out=d2)
+        total += float(np.sqrt(d2, out=d2).sum())
     return total / (m * n)
 
 

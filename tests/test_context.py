@@ -19,7 +19,7 @@ from lscd.context import (
     save_classifier,
     train_time_classifier,
 )
-from lscd.corpus import T1, T2, Corpus, TimeClfDataset, build_clf_dataset
+from lscd.corpus import T1, T2, TEST, Corpus, TimeClfDataset, build_clf_dataset
 from lscd.errors import DatasetError, FormatError, TrainingDivergedError
 
 from conftest import random_corpus
@@ -231,6 +231,20 @@ class TestTraining:
         assert len(loss) == 3
         # The head starts at zero, so the first step's loss is log 2.
         assert 0.0 < loss[2] < loss[1] < loss[0] < math.log(2.0)
+
+    def test_test_loss_is_mean_held_out_cross_entropy(self, rng):
+        c1, c2 = marker_corpora(rng, n=200)
+        dataset = build_clf_dataset(c1, c2, masked=False, seed=17)
+        model, metrics = train_time_classifier(
+            dataset, EncoderConfig(dimension=16, context_radius=2, seed=18)
+        )
+        losses = []
+        for tokens, label in (dataset.examples[i] for i in dataset.indices(TEST)):
+            p = model.predict_proba(tokens)
+            y = 1.0 if label == T2 else 0.0
+            losses.append(-(y * math.log(p + 1e-12) + (1 - y) * math.log(1 - p + 1e-12)))
+        assert metrics.test_loss == pytest.approx(sum(losses) / len(losses), rel=1e-12)
+        assert 0.0 < metrics.test_loss < math.log(2.0)
 
     def test_planted_marker_high_accuracy(self, rng):
         c1, c2 = marker_corpora(rng)
@@ -472,6 +486,32 @@ class TestUseSetTsv:
         lines = path.read_text(encoding="utf-8").splitlines()
         for si, row, line in zip([3, 1, 4, 1], vectors, lines):
             assert line == f"w\t{T2}\t{si}\t" + " ".join(format(x, ".9g") for x in row)
+
+    def test_import_bit_identical_to_per_value_float(self, tmp_path):
+        rng = np.random.default_rng(23)
+        vectors = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7))
+        vectors[0] = [0.0, -0.0, 1e308, -5e-324, 2.2e-310, np.inf, -np.inf]
+        uses = [
+            UseSet("w", T1, vectors[:25], list(range(25))),
+            UseSet("v", T2, vectors[25:], list(range(15))),
+        ]
+        path = tmp_path / "uses.tsv"
+        export_uses(uses, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("\n" + "".join(lines[:10]) + "  \n" + "".join(lines[10:]), encoding="utf-8")
+        expected = np.array([[float(x) for x in line.split("\t")[3].split()] for line in lines])
+        got = np.concatenate([u.vectors for u in import_uses(path)])
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    def test_bad_float_token_reports_line(self, tmp_path):
+        path = tmp_path / "uses.tsv"
+        path.write_text(
+            "word\tt1\t0\t1 2\n\nword\tt2\t1\t4 1.2.3\n", encoding="utf-8"
+        )
+        with pytest.raises(FormatError) as excinfo:
+            import_uses(path)
+        assert excinfo.value.line == 3
 
     def test_ragged_dimension_reports_line(self, tmp_path):
         path = tmp_path / "uses.tsv"

@@ -112,6 +112,13 @@ class TestConfig:
         assert config.masked is False
         assert config.pair_budget == 500
 
+    def test_pair_budget_below_one_rejected(self, tmp_path, bench_dir):
+        path = write_config(tmp_path, bench_dir, extra="\n[scoring]\npair_budget = 0\n")
+        with pytest.raises(ValueError, match="pair_budget"):
+            load_config(path)
+        with pytest.raises(ValueError, match="pair_budget"):
+            load_config(write_config(tmp_path, bench_dir), overrides={"pair_budget": -3})
+
     def test_readme_config_blocks_load(self, tmp_path, monkeypatch):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         quick_start, reference = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
@@ -261,8 +268,8 @@ class TestPipelineRun:
         rows = dict(line.split("\t") for line in path.read_text().splitlines())
         assert list(rows)[:2] == ["accuracy", "accuracy_t1"]
         epochs = [f"train_loss_epoch{k}" for k in range(1, config.encoder.epochs + 1)]
-        assert list(rows)[-len(epochs):] == epochs
-        assert all(0.0 < float(rows[name]) < 1.0 for name in epochs)
+        assert list(rows)[-len(epochs) - 1:] == epochs + ["test_loss"]
+        assert all(0.0 < float(rows[name]) < 1.0 for name in epochs + ["test_loss"])
 
     def test_interrupted_stage_rebuilt(self, run_dir):
         _, config_path, config, first = run_dir

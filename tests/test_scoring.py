@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lscd import scoring
 from lscd.align import AlignedPair
 from lscd.context import UseSet
 from lscd.corpus import T1, T2
@@ -28,6 +29,13 @@ def brute_force_mpe(a, b):
         for y in b:
             total += math.sqrt(sum((xi - yi) ** 2 for xi, yi in zip(x, y)))
     return total / (len(a) * len(b))
+
+
+def fsum_mpe(a, b):
+    """Oracle for large sets: every distance from the direct difference,
+    summed without rounding error by math.fsum."""
+    distances = [np.sqrt(((x - b) ** 2).sum(axis=1)) for x in a]
+    return math.fsum(np.concatenate(distances)) / (len(a) * len(b))
 
 
 def space_of(vectors, words):
@@ -179,17 +187,54 @@ class TestMpeDistance:
         assert abs(sampled - exact) / exact <= 0.02
 
     def test_chunked_path_matches_brute_force(self):
-        # Force the blockwise branch with a set big enough to split.
         rng = np.random.default_rng(9)
         a = rng.standard_normal((700, 40))
         b = rng.standard_normal((900, 40))
         exact = mpe_distance(a, b)
-        ii = rng.integers(0, 700, size=200)
-        jj = rng.integers(0, 900, size=200)
-        probe = np.linalg.norm(a[ii] - b[jj], axis=1).mean()
-        assert abs(exact - probe) / exact <= 0.1  # same scale sanity
+        oracle = fsum_mpe(a, b)
+        assert abs(exact - oracle) <= 1e-12 * oracle
         small_a, small_b = a[:30], b[:25]
         assert abs(mpe_distance(small_a, small_b) - brute_force_mpe(small_a, small_b)) <= 1e-12
+
+    def test_many_row_blocks_match_oracle(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        a = rng.standard_normal((230, 12)) + 3.0
+        b = rng.standard_normal((170, 12))
+        whole = mpe_distance(a, b)
+        # The 170-row set goes first: 7 rows of n = 230 per block, 24 full
+        # blocks and a ragged last one of 2 rows.
+        monkeypatch.setattr(scoring, "_BLOCK_ELEMENTS", 7 * 230)
+        blocked = mpe_distance(a, b)
+        oracle = fsum_mpe(a, b)
+        assert abs(blocked - oracle) <= 1e-12 * oracle
+        assert abs(whole - oracle) <= 1e-12 * oracle
+        assert mpe_distance(b, a) == blocked
+
+    def test_cancellation_case_matches_oracle(self, monkeypatch):
+        # A large common offset, duplicates and near-duplicates across the
+        # periods: the pairs where the Gram expansion cancels.
+        rng = np.random.default_rng(11)
+        d = 300
+        offset = rng.standard_normal(d) * 1e4
+        a = rng.standard_normal((120, d)) + offset
+        b = rng.standard_normal((90, d)) + offset
+        b[:30] = a[:30]
+        b[30:60] = a[30:60] + rng.standard_normal((30, d)) * 1e-7
+        b[60:70] = a[:10] * (1.0 + 1e-12)
+        oracle = fsum_mpe(a, b)
+        assert abs(mpe_distance(a, b) - oracle) <= 1e-12 * oracle
+        monkeypatch.setattr(scoring, "_BLOCK_ELEMENTS", 5 * 120)
+        assert abs(mpe_distance(a, b) - oracle) <= 1e-12 * oracle
+
+    def test_identical_multisets_exactly_zero(self):
+        rng = np.random.default_rng(12)
+        v = rng.standard_normal(300) * 1e3 + 0.1
+        assert mpe_distance(np.tile(v, (400, 1)), np.tile(v, (300, 1))) == 0.0
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="pair_budget"):
+            mpe_distance(np.ones((2, 3)), np.zeros((2, 3)), pair_budget=budget)
 
 
 def use(word, period, vectors):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import T2, PERIODS, Corpus, TimeClfDataset, TRAIN, TEST
+from .corpus import T2, PERIODS, Corpus, TimeClfDataset, TRAIN, TEST, parse_rows
 from .errors import DatasetError, FormatError, TrainingDivergedError
 
 _LR_FLOOR_FACTOR = 1e-2
@@ -421,7 +421,7 @@ def import_uses(path: str | Path) -> list[UseSet]:
             keys.append((word, period))
             fields.append(vec_str)
             lines.append(i)
-    vectors = _parse_vectors(fields, lines)
+    vectors = parse_rows(fields, lines)
     groups: dict[tuple[str, str], list[int]] = {}
     for row, key in enumerate(keys):
         groups.setdefault(key, []).append(row)
@@ -434,27 +434,3 @@ def import_uses(path: str | Path) -> list[UseSet]:
         )
         for (word, period), rows in groups.items()
     ]
-
-
-def _parse_vectors(fields: list[str], lines: list[int]) -> np.ndarray:
-    """The space-separated vectors of `fields` as one (rows, d) array, parsed
-    by one np.loadtxt call (which rounds exactly as float() does). Only when
-    that fails does a per-row pass run, to name the bad line."""
-    if not fields:
-        return np.empty((0, 0))
-    try:
-        vectors = np.loadtxt(fields, ndmin=2, comments=None)
-        if len(vectors) == len(fields):
-            return vectors
-    except ValueError:
-        pass
-    rows = []
-    for i, text in zip(lines, fields):
-        try:
-            vec = [float(x) for x in text.split()]
-        except ValueError as exc:
-            raise FormatError("malformed use-set row", line=i) from exc
-        if rows and len(vec) != len(rows[0]):
-            raise FormatError(f"vector dimension {len(vec)} != {len(rows[0])}", line=i)
-        rows.append(vec)
-    return np.array(rows, dtype=float)

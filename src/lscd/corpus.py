@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DatasetError, EmptyCorpusError
+from .errors import DatasetError, EmptyCorpusError, FormatError
 
 T1 = "t1"
 T2 = "t2"
@@ -305,3 +305,33 @@ def read_dataset_tsv(path: str | Path, masked: bool, mask_token: str) -> TimeClf
     return TimeClfDataset(
         examples=examples, splits=splits, masked=masked, mask_token=mask_token
     )
+
+
+def parse_rows(
+    rows: list[str], lines: list[int], width: int | None = None
+) -> np.ndarray:
+    """The whitespace-separated numbers of `rows` (written with `%.9g`) as
+    one (len(rows), width) array, parsed by one np.loadtxt call, which rounds
+    exactly as float() does. `width` defaults to the first row's length.
+    Only when that call fails or yields another shape does a per-row pass
+    run, to raise FormatError with the line number (`lines`) of the bad row.
+    """
+    if not rows:
+        return np.empty((0, width or 0))
+    try:
+        values = np.loadtxt(rows, ndmin=2, comments=None)
+        if len(values) == len(rows) and width in (None, values.shape[1]):
+            return values
+    except ValueError:
+        pass
+    parsed = []
+    for i, text in zip(lines, rows):
+        try:
+            row = [float(x) for x in text.split()]
+        except ValueError as exc:
+            raise FormatError("malformed number", line=i) from exc
+        width = len(row) if width is None else width
+        if len(row) != width:
+            raise FormatError(f"expected {width} numbers, got {len(row)}", line=i)
+        parsed.append(row)
+    return np.array(parsed, dtype=float)

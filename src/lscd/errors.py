@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
+import copyreg
+
 
 class LscdError(Exception):
     """Base class for all toolkit errors."""
+
+    def __reduce__(self):
+        # Rebuild from the final message and the attributes, without calling
+        # a subclass __init__ whose arguments differ from `args`, so that an
+        # error raised in a worker process reaches the parent intact.
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class EmptyCorpusError(LscdError):

@@ -353,12 +353,30 @@ class Pipeline:
         }
 
         def build(directory: Path):
-            for period in (T1, T2):
-                corpus = load_corpus(ingest.path / f"corpus_{period}.txt", period)
-                space = train_sgns(
-                    corpus, dataclasses.replace(cfg.sgns, seed=seeds[period])
+            # Imported here so that runs which find this stage cached never
+            # pay for the pool's import.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            jobs = {
+                period: (
+                    ingest.path / f"corpus_{period}.txt",
+                    period,
+                    dataclasses.replace(cfg.sgns, seed=seeds[period]),
+                    directory / f"{period}.vec",
                 )
-                save_vectors(space, directory / f"{period}.vec")
+                for period in (T1, T2)
+            }
+            # The two spaces share nothing until alignment: T2 trains in a
+            # forked worker while this process trains T1. Fork, unlike spawn
+            # and forkserver, neither re-imports the caller's __main__ nor
+            # numpy in the worker.
+            with ProcessPoolExecutor(
+                1, mp_context=multiprocessing.get_context("fork")
+            ) as pool:
+                worker = pool.submit(_train_space, *jobs[T2])
+                _train_space(*jobs[T1])
+                worker.result()
 
         return self._ensure("static", payload, build)
 
@@ -693,6 +711,13 @@ class Pipeline:
             },
             "output_dir": str(self.cfg.output_dir),
         }
+
+
+def _train_space(
+    corpus_path: Path, period: str, config: SgnsConfig, out_path: Path
+) -> None:
+    """Train one period's SGNS space on its ingested corpus and save it."""
+    save_vectors(train_sgns(load_corpus(corpus_path, period), config), out_path)
 
 
 def _write_graded(path: Path, ranking: Ranking) -> None:

@@ -115,7 +115,9 @@ def mpe_distance(
 
     With a pair budget set and fewer pairs than budget available the exact
     mean is returned; otherwise `pair_budget` pairs are sampled uniformly
-    (seeded, with replacement). The budget must be at least 1.
+    (seeded, with replacement), and their differences are formed one block
+    of at most `_BLOCK_ELEMENTS` values at a time. The budget must be at
+    least 1.
     """
     a = np.asarray(uses_t1, dtype=np.float64)
     b = np.asarray(uses_t2, dtype=np.float64)
@@ -137,7 +139,12 @@ def mpe_distance(
         rng = np.random.default_rng(seed)
         ii = rng.integers(0, m, size=pair_budget)
         jj = rng.integers(0, n, size=pair_budget)
-        return float(np.linalg.norm(a[ii] - b[jj], axis=1).mean())
+        norms = np.empty(pair_budget)
+        block = max(1, _BLOCK_ELEMENTS // a.shape[1])
+        for start in range(0, pair_budget, block):
+            rows = slice(start, start + block)
+            norms[rows] = np.linalg.norm(a[ii[rows]] - b[jj[rows]], axis=1)
+        return float(norms.mean())
 
     center = (a.sum(axis=0) + b.sum(axis=0)) / (m + n)
     a_c = a - center

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, parse_rows
 from .errors import EmptyCorpusError, FormatError, TrainingDivergedError, VocabularyError
 
 _CHUNK = 512
@@ -316,16 +317,15 @@ def load_vectors(path: str | Path) -> EmbeddingSpace:
             n_words, dim = int(header[0]), int(header[1])
         except ValueError as exc:
             raise FormatError(f"bad vector file header in {path}", line=1) from exc
-        words: list[str] = []
-        rows = np.empty((n_words, dim))
-        for i in range(n_words):
-            parts = fh.readline().split()
-            if len(parts) != dim + 1:
-                raise FormatError(
-                    f"expected {dim + 1} fields in vector row", line=i + 2
-                )
-            words.append(parts[0])
-            rows[i] = [float(x) for x in parts[1:]]
+        parts = [line.split(None, 1) for line in islice(fh, n_words)]
+    if len(parts) != n_words:
+        raise FormatError(f"expected {n_words} vector rows", line=len(parts) + 2)
+    words = [p[0] if p else "" for p in parts]
+    rows = parse_rows(
+        [p[1] if len(p) == 2 else "" for p in parts],
+        list(range(2, n_words + 2)),
+        width=dim,
+    )
     word_ids = {w: i for i, w in enumerate(words)}
     if len(word_ids) != len(words):
         raise FormatError(f"duplicate word in vector file {path}")

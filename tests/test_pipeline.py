@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import lscd
 from lscd.cli import build_parser, main
-from lscd.corpus import T1, T2
-from lscd.errors import StageError
+from lscd.corpus import T1, T2, load_corpus
+from lscd.errors import StageError, TrainingDivergedError
 from lscd.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -16,6 +21,7 @@ from lscd.pipeline import (
     load_config,
     run_benchmark_generation,
 )
+from lscd.sgns import save_vectors, train_sgns
 
 CONFIG_TEMPLATE = """
 [paths]
@@ -282,21 +288,42 @@ class TestPipelineRun:
         assert (stage_dir / ".complete").is_file()
 
 
+class TestStaticStage:
+    def test_matches_sequential_training(self, tmp_path, bench_dir):
+        config = load_config(write_config(tmp_path, bench_dir))
+        pipeline = Pipeline(config)
+        static = pipeline.train_static()
+        ingest = pipeline.stages["ingest"]
+        for period in (T1, T2):
+            corpus = load_corpus(ingest.path / f"corpus_{period}.txt", period)
+            sgns = dataclasses.replace(
+                config.sgns, seed=derive_seed(config.seed, f"sgns-{period}")
+            )
+            save_vectors(train_sgns(corpus, sgns), tmp_path / f"{period}.vec")
+            assert (static.path / f"{period}.vec").read_bytes() == (
+                tmp_path / f"{period}.vec"
+            ).read_bytes()
+
+
 class TestCorpusMemo:
     def test_raw_corpora_parsed_once_shared_unmodified_and_freed(
         self, tmp_path, bench_dir, monkeypatch
     ):
         import lscd.pipeline as pipeline_module
 
-        calls, loaded, extracted = [], [], []
+        loaded, extracted = {}, []
         load_corpus = pipeline_module.load_corpus
         extract_uses = pipeline_module.extract_uses
         train_sgns = pipeline_module.train_sgns
+        # The static stage loads T2's corpus in its worker process, so every
+        # call is logged to a file that both processes append to.
+        log = tmp_path / "loads.log"
 
         def counting_load(path, period):
-            calls.append((str(path), period))
-            loaded.append(load_corpus(path, period))
-            return loaded[-1]
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{path}\t{period}\n")
+            loaded[str(path), period] = load_corpus(path, period)
+            return loaded[str(path), period]
 
         def recording_extract(model, corpus, targets):
             extracted.append(corpus)
@@ -316,9 +343,10 @@ class TestCorpusMemo:
         pipeline = Pipeline(config)
         pipeline.run_all()
         raw = [(str(config.corpus_t1), T1), (str(config.corpus_t2), T2)]
+        calls = [tuple(line.split("\t")) for line in log.read_text().splitlines()]
         assert [c for c in calls if c in raw] == raw
         assert len(calls) == 4  # plus the static stage's two ingest outputs
-        c1, c2 = loaded[calls.index(raw[0])], loaded[calls.index(raw[1])]
+        c1, c2 = loaded[raw[0]], loaded[raw[1]]
         assert extracted[0] is c1 and extracted[1] is c2
         assert pipeline._corpora is None
         for corpus, (path, period) in zip((c1, c2), raw):
@@ -342,6 +370,26 @@ class TestPipelineErrors:
         # no sentinel was written for the failed stage
         stage_root = config.output_dir / "ingest"
         assert not any(stage_root.rglob(".complete"))
+
+    def test_worker_divergence_reaches_parent(self, tmp_path, bench_dir, monkeypatch):
+        import lscd.pipeline as pipeline_module
+
+        train_sgns = pipeline_module.train_sgns
+
+        def diverging_t2(corpus, config):
+            if corpus.period == T2:
+                raise TrainingDivergedError("non-finite loss", step=7)
+            return train_sgns(corpus, config)
+
+        # The forked worker inherits the patched module global.
+        monkeypatch.setattr(pipeline_module, "train_sgns", diverging_t2)
+        config = load_config(write_config(tmp_path, bench_dir))
+        with pytest.raises(StageError, match="static") as excinfo:
+            Pipeline(config).train_static()
+        assert excinfo.value.stage == "static"
+        assert isinstance(excinfo.value.cause, TrainingDivergedError)
+        assert excinfo.value.cause.step == 7
+        assert not any((config.output_dir / "static").rglob(".complete"))
 
     def test_evaluate_without_gold_rejected(self, tmp_path, bench_dir):
         config_path = write_config(tmp_path, bench_dir)
@@ -395,6 +443,21 @@ class TestCli:
         # Absent flags override nothing: the file's values stand.
         args = build_parser().parse_args(argv)
         assert not {"seed", "theta", "masked", "pair_budget"} & set(vars(args))
+
+    def test_import_leaves_process_pool_unloaded(self):
+        # Only the static stage's build starts a worker; runs that find it
+        # cached must not pay for importing the pool.
+        code = (
+            "import sys, lscd.cli; "
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} "
+            "& set(sys.modules)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(lscd.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            check=True,
+        ).stdout
+        assert out.strip() == "[]"
 
     def test_cli_error_exit_code(self, tmp_path, capsys):
         assert main(["run-all", "--config", str(tmp_path / "none.ini")]) == 1

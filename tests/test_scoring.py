@@ -231,6 +231,29 @@ class TestMpeDistance:
         v = rng.standard_normal(300) * 1e3 + 0.1
         assert mpe_distance(np.tile(v, (400, 1)), np.tile(v, (300, 1))) == 0.0
 
+    def test_sampled_path_blocked_memory_and_value(self, monkeypatch):
+        import tracemalloc
+
+        rng = np.random.default_rng(13)
+        a = rng.standard_normal((300, 64))
+        b = rng.standard_normal((400, 64))
+        # 16 sampled pairs per block: the pairs' difference rows are never
+        # formed for the whole budget, only its indices and norms (24 bytes
+        # per pair).
+        monkeypatch.setattr(scoring, "_BLOCK_ELEMENTS", 1024)
+        for budget in (20_000, 80_000):
+            tracemalloc.start()
+            try:
+                value = mpe_distance(a, b, pair_budget=budget, seed=4)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            draw = np.random.default_rng(4)
+            ii = draw.integers(0, len(a), size=budget)
+            jj = draw.integers(0, len(b), size=budget)
+            assert value == float(np.linalg.norm(a[ii] - b[jj], axis=1).mean())
+            assert peak - 24 * budget <= 8 * 8 * 1024
+
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="pair_budget"):

@@ -322,6 +322,33 @@ class TestVectorFormat:
         with pytest.raises(FormatError):
             load_vectors(path)
 
+    def test_load_bit_identical_to_per_value_float(self, tmp_path):
+        rng = np.random.default_rng(19)
+        vectors = rng.standard_normal((30, 6)) * 10.0 ** rng.integers(-300, 300, (30, 6))
+        vectors[0] = [0.0, -0.0, 1e308, -5e-324, np.inf, -np.inf]
+        words = [f"w{i}" for i in range(30)]
+        space = EmbeddingSpace(
+            words=words, word_ids={w: i for i, w in enumerate(words)}, vectors=vectors
+        )
+        path = tmp_path / "v.vec"
+        save_vectors(space, path)
+        lines = path.read_text(encoding="utf-8").splitlines()[1:]
+        expected = np.array([[float(x) for x in line.split()[1:]] for line in lines])
+        got = load_vectors(path).vectors
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [("3 2\na 1 2\nb 1 2\n", 4), ("2 2\na 1 2\nb 1 x\n", 3)],
+        ids=["truncated", "bad-number"],
+    )
+    def test_bad_rows_report_line(self, tmp_path, text, line):
+        path = tmp_path / "bad.vec"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as excinfo:
+            load_vectors(path)
+        assert excinfo.value.line == line
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.vec"
         path.write_text("2 3\na 1 2 3\nb 1 2\n", encoding="utf-8")

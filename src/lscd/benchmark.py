@@ -10,6 +10,7 @@ human annotations.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,15 +42,23 @@ class SyntheticBenchmark:
 
 def generate_shift_benchmark(
     n_targets: int,
-    degrees: list[float],
+    degrees: list[float] | None,
     base_sentences: int,
     seed: int,
     min_occurrences: int = 20,
 ) -> SyntheticBenchmark:
     """Build two corpora of `base_sentences` sentences each with one
-    pseudo-target per entry of `degrees`."""
+    pseudo-target per entry of `degrees` (None: evenly spaced in [0, 1])."""
+    if n_targets < 1:
+        raise ValueError(f"n_targets must be at least 1, got {n_targets}")
+    if base_sentences < 1:
+        raise ValueError(f"base_sentences must be at least 1, got {base_sentences}")
+    if degrees is None:
+        degrees = np.linspace(0.0, 1.0, n_targets).tolist()
     if len(degrees) != n_targets:
-        raise ValueError("degrees must have one entry per target")
+        raise ValueError(
+            f"degrees has {len(degrees)} entries but n_targets is {n_targets}"
+        )
     if any(not 0.0 <= d <= 1.0 for d in degrees):
         raise ValueError("degrees must lie in [0, 1]")
     rng = np.random.default_rng(seed)
@@ -61,7 +70,7 @@ def generate_shift_benchmark(
 
     per_target = max(
         min_occurrences,
-        int(_TARGET_SENTENCE_FRACTION * base_sentences / max(1, n_targets)),
+        int(_TARGET_SENTENCE_FRACTION * base_sentences / n_targets),
     )
     if per_target * n_targets > base_sentences:
         raise ValueError(
@@ -73,12 +82,14 @@ def generate_shift_benchmark(
     # Zipf-ish weights make the common pool look like natural filler text.
     common_w = 1.0 / np.arange(1, len(common) + 1)
     common_w /= common_w.sum()
+    # The CDF that `Generator.choice(p=common_w)` builds on every call: a
+    # common word is the CDF bucket of one uniform double, so searching it
+    # with the same doubles yields the same words as `choice` would.
+    cumulative = common_w.cumsum()
+    common_cdf = (cumulative / cumulative[-1]).tolist()
 
-    def _common(k: int) -> list[str]:
-        return [common[i] for i in rng.choice(len(common), size=k, p=common_w)]
-
-    def _pool(pool: list[str], k: int) -> list[str]:
-        return [pool[i] for i in rng.integers(0, len(pool), size=k)]
+    def _common(u: list[float]) -> list[str]:
+        return [common[bisect_right(common_cdf, x)] for x in u]
 
     def _background_sentence() -> list[str]:
         length = int(rng.integers(8, 13))
@@ -88,29 +99,33 @@ def generate_shift_benchmark(
         elif draw < 2 * _TOPIC_RATE:
             topic = pool_b
         else:
-            topic = None
+            return _common(rng.random(length).tolist())
+        # One step per token: an integer draw takes a buffered 32-bit half
+        # of the stream, so it cannot be batched across the doubles between.
         words = []
         for _ in range(length):
-            if topic is not None and rng.random() < 0.5:
-                words.extend(_pool(topic, 1))
+            if rng.random() < 0.5:
+                words.append(topic[rng.integers(0, len(topic))])
             else:
-                words.extend(_common(1))
+                words += _common([rng.random()])
         return words
 
-    def _target_sentence(target: str, pool: list[str]) -> list[str]:
+    def _target_sentence(target: str, use_b_prob: float) -> list[str]:
         # Pool words adjacent to the target so even small windows see them;
         # two pool slots keep target sentences a minor share of each pool
         # word's occurrences (topic backgrounds anchor the pools).
-        return (
-            _common(3) + _pool(pool, 1) + [target] + _pool(pool, 1) + _common(3)
-        )
+        # The first double picks the context pool, the next three the
+        # common words before the target.
+        u = rng.random(4).tolist()
+        pool = pool_b if u[0] < use_b_prob else pool_a
+        left = pool[rng.integers(0, len(pool))]
+        right = pool[rng.integers(0, len(pool))]
+        tail = _common(rng.random(3).tolist())
+        return _common(u[1:]) + [left, target, right] + tail
 
     def _build(period: str, use_b_prob: list[float]) -> Corpus:
         sentences = [
-            _target_sentence(
-                targets[i],
-                pool_b if rng.random() < use_b_prob[i] else pool_a,
-            )
+            _target_sentence(targets[i], use_b_prob[i])
             for i in range(n_targets)
             for _ in range(per_target)
         ]
@@ -141,7 +156,9 @@ def true_binary_labels(benchmark: SyntheticBenchmark) -> dict[str, int]:
 
 
 def write_benchmark(benchmark: SyntheticBenchmark, out_dir: str | Path) -> dict[str, Path]:
-    """Write corpus, target and gold files; returns the path of each piece."""
+    """Write corpus, target and gold files; returns the path of each piece.
+    The labels are derived first, so a benchmark they reject writes nothing."""
+    binary = true_binary_labels(benchmark)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -159,7 +176,6 @@ def write_benchmark(benchmark: SyntheticBenchmark, out_dir: str | Path) -> dict[
     with open(paths["gold"], "w", encoding="utf-8") as fh:
         for word, degree in zip(benchmark.targets, benchmark.degrees):
             fh.write(f"{word}\t{format(degree, '.9g')}\n")
-    binary = true_binary_labels(benchmark)
     with open(paths["binary_gold"], "w", encoding="utf-8") as fh:
         for word in benchmark.targets:
             fh.write(f"{word}\t{binary[word]}\n")

@@ -71,7 +71,12 @@ def build_parser() -> argparse.ArgumentParser:
         "gen-bench", help="Generate a synthetic benchmark with known shifts"
     )
     gen.add_argument("--out", required=True, help="directory for the benchmark files")
-    gen.add_argument("--targets", type=int, default=8, help="number of pseudo-targets")
+    gen.add_argument(
+        "--targets",
+        type=int,
+        default=None,
+        help="number of pseudo-targets (default: one per --degrees entry, else 8)",
+    )
     gen.add_argument(
         "--sentences", type=int, default=20000, help="sentences per corpus"
     )
@@ -114,9 +119,12 @@ def main(argv: list[str] | None = None) -> int:
             degrees = None
             if args.degrees:
                 degrees = [float(x) for x in args.degrees.split(",")]
+            n_targets = args.targets
+            if n_targets is None:
+                n_targets = 8 if degrees is None else len(degrees)
             paths = run_benchmark_generation(
                 args.out,
-                n_targets=args.targets,
+                n_targets=n_targets,
                 sentences=args.sentences,
                 seed=args.seed,
                 degrees=degrees,

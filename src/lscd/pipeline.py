@@ -17,6 +17,7 @@ import configparser
 import dataclasses
 import hashlib
 import json
+import os
 import platform
 import shutil
 from dataclasses import dataclass, field
@@ -353,11 +354,6 @@ class Pipeline:
         }
 
         def build(directory: Path):
-            # Imported here so that runs which find this stage cached never
-            # pay for the pool's import.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
-
             jobs = {
                 period: (
                     ingest.path / f"corpus_{period}.txt",
@@ -367,6 +363,21 @@ class Pipeline:
                 )
                 for period in (T1, T2)
             }
+            # Not every platform reports affinity; then count every CPU.
+            if hasattr(os, "sched_getaffinity"):
+                cores = len(os.sched_getaffinity(0))
+            else:
+                cores = os.cpu_count()
+            if cores == 1:
+                # On one core a worker would only compete with this process.
+                for period in (T1, T2):
+                    _train_space(*jobs[period])
+                return
+            # Imported here so that runs which find this stage cached, or
+            # train on one core, never pay for the pool's import.
+            import multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             # The two spaces share nothing until alignment: T2 trains in a
             # forked worker while this process trains T1. Fork, unlike spawn
             # and forkserver, neither re-imports the caller's __main__ nor
@@ -758,8 +769,6 @@ def run_benchmark_generation(
     degrees: list[float] | None = None,
 ) -> dict[str, Path]:
     """Generate a synthetic benchmark and write its files to `out_dir`."""
-    if degrees is None:
-        degrees = list(np.linspace(0.0, 1.0, n_targets))
     bench = benchmark_mod.generate_shift_benchmark(
         n_targets=n_targets, degrees=degrees, base_sentences=sentences, seed=seed
     )

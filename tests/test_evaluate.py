@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -248,6 +249,58 @@ class TestBenchmarkGenerator:
             generate_shift_benchmark(2, [0.5], 100, seed=0)
         with pytest.raises(ValueError):
             generate_shift_benchmark(1, [1.5], 100, seed=0)
+
+    @pytest.mark.parametrize(
+        "n_targets, base_sentences, message",
+        [(0, 100, "n_targets"), (-2, 100, "n_targets"), (2, 0, "base_sentences")],
+    )
+    def test_sizes_rejected_before_drawing(
+        self, n_targets, base_sentences, message, monkeypatch
+    ):
+        def no_rng(seed):
+            raise AssertionError("drew before checking the sizes")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        with pytest.raises(ValueError, match=f"{message} must be at least 1"):
+            generate_shift_benchmark(n_targets, None, base_sentences, seed=0)
+
+    def test_write_benchmark_rejected_labels_write_nothing(self, tmp_path):
+        bench = generate_shift_benchmark(2, [0.0, 1.0], 100, seed=0)
+        bench.targets, bench.degrees = [], []
+        with pytest.raises(ValueError, match="empty ranking"):
+            write_benchmark(bench, tmp_path / "bench")
+        assert not (tmp_path / "bench").exists()
+
+    # sha256 of every file `lscd gen-bench` writes. Any change to the
+    # generator's random stream changes them; the default output must stay
+    # byte-identical for every seed.
+    GOLDEN = {
+        (4, 300, 1): {
+            "corpus_t1": "7930e038d6bb551fe36eea48b34889b98bcb5ac26cc5d17e46174f4dabf7cdd4",
+            "corpus_t2": "da7f820c0ccb84c42730880555d8c9e77e2431eb80add00b9f763bbbfafa2eaf",
+            "targets": "1fe473ad62b02107e5383a7935116f6485e9c5677d547324e196ae5d0f4f3ed2",
+            "gold": "f9451930b7b2d5e64e7ce43a939b6215682214c3385c97a6747f494f97972761",
+            "binary_gold": "415a1f9a336bc8481878557843e555c72b02c83644c8addca10f0d59d2070c5c",
+        },
+        (8, 20000, 101): {
+            "corpus_t1": "b0c90d82e6470bf6c23ae23d615c39dc62741244fe9445e7c4a315829af009e6",
+            "corpus_t2": "ba6e0170bf4f3c98ad1308c20dcf81f4f9abf3e92c3510979bf33cc6eca88f4d",
+            "targets": "d85cf3651d05ab702b861c75cea6b67ed01612c1cbf6293e379fb706fdf426be",
+            "gold": "d6649db0f523ba7ee5aa6060761d8f2161bca216632d8060762e8d8b6d9c1eaf",
+            "binary_gold": "0ea24fcd68c2f38b495ec7ef6498b68aa4b2a23edf141d0a4439742b44cd3cdd",
+        },
+    }
+
+    @pytest.mark.parametrize("n_targets, sentences, seed", sorted(GOLDEN))
+    def test_output_byte_identical_to_golden(self, n_targets, sentences, seed, tmp_path):
+        degrees = list(np.linspace(0.0, 1.0, n_targets))
+        bench = generate_shift_benchmark(n_targets, degrees, sentences, seed)
+        paths = write_benchmark(bench, tmp_path)
+        digests = {
+            name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for name, path in paths.items()
+        }
+        assert digests == self.GOLDEN[n_targets, sentences, seed]
 
     def test_true_binary_labels_upper_half(self):
         bench = generate_shift_benchmark(4, [0.9, 0.1, 0.6, 0.3], 500, seed=7)

@@ -304,6 +304,27 @@ class TestStaticStage:
                 tmp_path / f"{period}.vec"
             ).read_bytes()
 
+    def test_one_core_trains_in_process(self, tmp_path, bench_dir, monkeypatch):
+        import concurrent.futures
+
+        (tmp_path / "pooled").mkdir()
+        (tmp_path / "single").mkdir()
+        pooled = Pipeline(load_config(write_config(tmp_path / "pooled", bench_dir)))
+        pooled_static = pooled.train_static()
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was opened on one core")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        single = Pipeline(load_config(write_config(tmp_path / "single", bench_dir)))
+        single_static = single.train_static()
+        assert not single_static.cached
+        for period in (T1, T2):
+            assert (single_static.path / f"{period}.vec").read_bytes() == (
+                pooled_static.path / f"{period}.vec"
+            ).read_bytes()
+
 
 class TestCorpusMemo:
     def test_raw_corpora_parsed_once_shared_unmodified_and_freed(
@@ -473,3 +494,16 @@ class TestCli:
         ) == 0
         gold = (bench / "gold.tsv").read_text().strip().splitlines()
         assert [line.split("\t")[1] for line in gold] == ["0", "0.5", "1"]
+
+    def test_gen_bench_degrees_set_target_count(self, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        argv = ["gen-bench", "--out", str(bench), "--sentences", "200", "--seed", "3"]
+        assert main(argv + ["--degrees", "0,1"]) == 0
+        assert (bench / "targets.txt").read_text().split() == ["target00", "target01"]
+        capsys.readouterr()
+        other = tmp_path / "other"
+        argv[2] = str(other)
+        assert main(argv + ["--degrees", "0,1", "--targets", "3"]) == 1
+        err = capsys.readouterr().err
+        assert "2 entries" in err and "n_targets is 3" in err
+        assert not other.exists()

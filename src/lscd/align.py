@@ -10,7 +10,6 @@ direction-independent; the direction is fixed for reproducibility.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -134,19 +133,6 @@ def align(
     s1 = preprocess(space_t1, steps, required=shared)
     s2 = preprocess(space_t2, steps, required=shared)
     return procrustes(s1, s2)
-
-
-def save_rotation_tsv(rotation: np.ndarray, path: str | Path) -> None:
-    """Export the rotation matrix as TSV for inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rotation:
-            fh.write("\t".join(format(x, ".12g") for x in row) + "\n")
-
-
-def load_rotation_tsv(path: str | Path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        rows = [[float(x) for x in line.split("\t")] for line in fh if line.strip()]
-    return np.array(rows)
 
 
 def _with_vectors(space: EmbeddingSpace, vectors: np.ndarray) -> EmbeddingSpace:

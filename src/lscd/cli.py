@@ -89,6 +89,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _degree(entry: str, flag_value: str) -> float:
+    try:
+        return float(entry)
+    except ValueError:
+        raise ValueError(
+            f"--degrees entry {entry!r} of {flag_value!r} is not a number"
+        ) from None
+
+
 def _run_stage(command: str, args: argparse.Namespace) -> int:
     overrides = {
         f.name: getattr(args, f.name)
@@ -118,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "gen-bench":
             degrees = None
             if args.degrees:
-                degrees = [float(x) for x in args.degrees.split(",")]
+                degrees = [_degree(x, args.degrees) for x in args.degrees.split(",")]
             n_targets = args.targets
             if n_targets is None:
                 n_targets = 8 if degrees is None else len(degrees)

@@ -8,7 +8,9 @@ seed). A stage directory counts as valid only once its ``.complete``
 sentinel exists, so interrupted runs are rebuilt. Stages always read their
 inputs back from the upstream artifact files, never from in-process state;
 a cached and a freshly built upstream therefore feed downstream stages
-identically.
+identically. The vectors handed between stages are stored as `.npy` arrays,
+which round-trip exactly; the text vector and use-set formats serve only
+exchange with other tools.
 """
 
 from __future__ import annotations
@@ -26,19 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, benchmark as benchmark_mod
-from .align import (
-    DEFAULT_PREPROCESSING,
-    AlignedPair,
-    align as align_spaces,
-    load_rotation_tsv,
-    save_rotation_tsv,
-)
+from .align import DEFAULT_PREPROCESSING, AlignedPair, align as align_spaces
 from .context import (
     EncoderConfig,
     UseSet,
-    export_uses,
     extract_uses,
-    import_uses,
     load_classifier,
     save_classifier,
     train_time_classifier,
@@ -66,7 +60,7 @@ from .ensemble import (
     ranks_from_scores,
     theta_from_accuracy,
 )
-from .errors import LscdError, StageError
+from .errors import FormatError, LscdError, StageError
 from .evaluate import binary_accuracy, load_binary_gold, load_gold, spearman
 from .scoring import (
     CONTEXT_DEPENDENT,
@@ -77,13 +71,18 @@ from .scoring import (
     static_score,
     write_scores_tsv,
 )
-from .sgns import SgnsConfig, load_vectors, save_vectors, train_sgns
+from .sgns import EmbeddingSpace, SgnsConfig, train_sgns
 
 ANSWER_DIR = "answers"
 MANIFEST_NAME = "manifest.json"
 RUN_SENTINEL = "run.complete"
 
 _FLOAT_FMT = ".9g"
+
+# The layout of the array artifacts that `static`, `align` and `uses` hand
+# downstream. It is part of those stages' keys, so an output_dir written in
+# another layout is rebuilt rather than misread; change it with the layout.
+_ARTIFACT_FORMAT = "npy-1"
 
 
 @dataclass
@@ -348,6 +347,7 @@ class Pipeline:
         seeds = {p: derive_seed(cfg.seed, f"sgns-{p}") for p in (T1, T2)}
         payload = {
             "stage": "static",
+            "format": _ARTIFACT_FORMAT,
             "ingest": ingest.key,
             "sgns": dataclasses.asdict(dataclasses.replace(cfg.sgns, seed=0)),
             "seeds": seeds,
@@ -359,7 +359,7 @@ class Pipeline:
                     ingest.path / f"corpus_{period}.txt",
                     period,
                     dataclasses.replace(cfg.sgns, seed=seeds[period]),
-                    directory / f"{period}.vec",
+                    directory,
                 )
                 for period in (T1, T2)
             }
@@ -396,17 +396,20 @@ class Pipeline:
         static = self.train_static()
         payload = {
             "stage": "align",
+            "format": _ARTIFACT_FORMAT,
             "static": static.key,
             "steps": list(cfg.align_steps),
         }
 
         def build(directory: Path):
-            s1 = load_vectors(static.path / f"{T1}.vec")
-            s2 = load_vectors(static.path / f"{T2}.vec")
-            pair = align_spaces(s1, s2, steps=cfg.align_steps)
-            save_vectors(pair.space_t1, directory / f"{T1}.vec")
-            save_vectors(pair.space_t2, directory / f"{T2}.vec")
-            save_rotation_tsv(pair.rotation, directory / "rotation.tsv")
+            pair = align_spaces(
+                _load_space(static.path, T1),
+                _load_space(static.path, T2),
+                steps=cfg.align_steps,
+            )
+            _save_space(pair.space_t1, directory, T1)
+            _save_space(pair.space_t2, directory, T2)
+            np.save(directory / "rotation.npy", pair.rotation, allow_pickle=False)
             (directory / "shared_vocabulary.txt").write_text(
                 "\n".join(pair.shared_vocabulary) + "\n", encoding="utf-8"
             )
@@ -488,6 +491,7 @@ class Pipeline:
         model_stage = self.train_clf()
         payload = {
             "stage": "uses",
+            "format": _ARTIFACT_FORMAT,
             "model": model_stage.key,
             "corpus_t1": self._hash(cfg.corpus_t1),
             "corpus_t2": self._hash(cfg.corpus_t2),
@@ -498,8 +502,7 @@ class Pipeline:
             model = load_classifier(model_stage.path / "model.npz")
             targets = load_targets(cfg.targets)
             for period, corpus in zip((T1, T2), self._raw_corpora()):
-                uses = extract_uses(model, corpus, targets)
-                export_uses(uses, directory / f"uses_{period}.tsv")
+                _save_uses(extract_uses(model, corpus, targets), directory, period)
 
         return self._ensure("uses", payload, build)
 
@@ -519,33 +522,25 @@ class Pipeline:
 
         def build(directory: Path):
             targets = load_targets(cfg.targets)
-            s1 = load_vectors(align_stage.path / f"{T1}.vec")
-            s2 = load_vectors(align_stage.path / f"{T2}.vec")
-            rotation = load_rotation_tsv(align_stage.path / "rotation.tsv")
             shared = (
                 (align_stage.path / "shared_vocabulary.txt")
                 .read_text(encoding="utf-8")
                 .splitlines()
             )
             pair = AlignedPair(
-                space_t1=s1, space_t2=s2, rotation=rotation, shared_vocabulary=shared
+                space_t1=_load_space(align_stage.path, T1),
+                space_t2=_load_space(align_stage.path, T2),
+                rotation=_load_array(align_stage.path / "rotation.npy"),
+                shared_vocabulary=shared,
             )
             cf = static_score(pair, targets)
-
-            def by_word(period: str) -> dict[str, UseSet]:
-                sets = import_uses(uses_stage.path / f"uses_{period}.tsv")
-                return {u.word: u for u in sets}
-
-            uses_t1 = by_word(T1)
-            uses_t2 = by_word(T2)
-            dim = cfg.encoder.dimension
-            pairs = []
-            for word in targets:
-                u1 = uses_t1.get(word) or UseSet(word, T1, np.empty((0, dim)), [])
-                u2 = uses_t2.get(word) or UseSet(word, T2, np.empty((0, dim)), [])
-                pairs.append((u1, u2))
+            uses_t1 = _load_uses(uses_stage.path, T1, targets)
+            uses_t2 = _load_uses(uses_stage.path, T2, targets)
             cd = contextual_score(
-                pairs, targets, pair_budget=cfg.pair_budget, seed=seed
+                list(zip(uses_t1, uses_t2)),
+                targets,
+                pair_budget=cfg.pair_budget,
+                seed=seed,
             )
             write_scores_tsv([cf, cd], directory / "scores.tsv")
 
@@ -725,10 +720,103 @@ class Pipeline:
 
 
 def _train_space(
-    corpus_path: Path, period: str, config: SgnsConfig, out_path: Path
+    corpus_path: Path, period: str, config: SgnsConfig, directory: Path
 ) -> None:
     """Train one period's SGNS space on its ingested corpus and save it."""
-    save_vectors(train_sgns(load_corpus(corpus_path, period), config), out_path)
+    _save_space(train_sgns(load_corpus(corpus_path, period), config), directory, period)
+
+
+# -- array artifacts ---------------------------------------------------------
+#
+# A space is `<period>.npy` (its float64 vectors) plus `<period>.words.txt`
+# (its words, one per line, in row order). A period's use sets are
+# `uses_<period>.npy` (every use vector, target after target) plus
+# `uses_<period>.index.tsv`: one `word<TAB>row count<TAB>sentence indices`
+# line per target, in target order. Every reader checks the parts agree, so
+# a truncated file fails with a FormatError naming it.
+
+
+def _load_array(path: Path) -> np.ndarray:
+    try:
+        array = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise FormatError(f"corrupt array file {path}: {exc}") from exc
+    if array.ndim != 2 or array.dtype != np.float64:
+        raise FormatError(
+            f"array file {path} holds a {array.dtype} array of shape "
+            f"{array.shape}, not a float64 matrix"
+        )
+    return array
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The newline-terminated lines of `path`; a cut-off last line is
+    dropped, so the callers' row counts catch it."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    return text.split("\n")[:-1]
+
+
+def _save_space(space: EmbeddingSpace, directory: Path, period: str) -> None:
+    np.save(directory / f"{period}.npy", space.vectors, allow_pickle=False)
+    (directory / f"{period}.words.txt").write_text(
+        "".join(f"{word}\n" for word in space.words), encoding="utf-8"
+    )
+
+
+def _load_space(directory: Path, period: str) -> EmbeddingSpace:
+    vectors = _load_array(directory / f"{period}.npy")
+    path = directory / f"{period}.words.txt"
+    words = _read_lines(path)
+    if len(words) != len(vectors):
+        raise FormatError(f"{path} lists {len(words)} words for {len(vectors)} vectors")
+    word_ids = {w: i for i, w in enumerate(words)}
+    if len(word_ids) != len(words):
+        raise FormatError(f"duplicate word in {path}")
+    return EmbeddingSpace(words=words, word_ids=word_ids, vectors=vectors)
+
+
+def _save_uses(use_sets: list[UseSet], directory: Path, period: str) -> None:
+    rows = [u.vectors for u in use_sets]
+    np.save(
+        directory / f"uses_{period}.npy",
+        np.concatenate(rows) if rows else np.empty((0, 0)),
+        allow_pickle=False,
+    )
+    with open(directory / f"uses_{period}.index.tsv", "w", encoding="utf-8") as fh:
+        for u in use_sets:
+            indices = " ".join(map(str, u.sentence_indices))
+            fh.write(f"{u.word}\t{len(u.vectors)}\t{indices}\n")
+
+
+def _load_uses(directory: Path, period: str, targets: list[str]) -> list[UseSet]:
+    """One use set per target, in target order; a target without uses in
+    `period` gets an empty one."""
+    vectors = _load_array(directory / f"uses_{period}.npy")
+    path = directory / f"uses_{period}.index.tsv"
+    words, counts, indices = [], [], []
+    for i, line in enumerate(_read_lines(path), start=1):
+        parts = line.split("\t")
+        try:
+            word, count, sids = parts[0], int(parts[1]), list(map(int, parts[2].split()))
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"malformed use-set index row in {path}", line=i) from exc
+        if len(parts) != 3 or len(sids) != count:
+            raise FormatError(f"malformed use-set index row in {path}", line=i)
+        words.append(word)
+        counts.append(count)
+        indices.append(sids)
+    if words != targets:
+        raise FormatError(f"{path} does not list the run's targets in order")
+    if sum(counts) != len(vectors):
+        raise FormatError(f"{path} indexes {sum(counts)} uses for {len(vectors)} vectors")
+    blocks = np.split(vectors, np.cumsum(counts)[:-1]) if counts else []
+    return [
+        UseSet(word=w, period=period, vectors=v, sentence_indices=s)
+        for w, v, s in zip(words, blocks, indices)
+    ]
 
 
 def _write_graded(path: Path, ranking: Ranking) -> None:

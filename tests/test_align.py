@@ -6,12 +6,10 @@ import pytest
 from lscd.align import (
     align,
     length_normalize,
-    load_rotation_tsv,
     mean_center,
     preprocess,
     procrustes,
     procrustes_rotation,
-    save_rotation_tsv,
     shared_vocabulary,
 )
 from lscd.errors import UnderdeterminedError, ZeroNormError
@@ -198,13 +196,6 @@ class TestProcrustes:
         s2 = space_of(np.ones((3, 2)))
         with pytest.raises(ValueError):
             procrustes(s1, s2)
-
-    def test_rotation_tsv_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(13)
-        w = random_orthogonal(5, rng)
-        save_rotation_tsv(w, tmp_path / "rot.tsv")
-        again = load_rotation_tsv(tmp_path / "rot.tsv")
-        assert np.abs(again - w).max() <= 1e-11
 
     def test_unknown_preprocessing_step(self):
         with pytest.raises(ValueError):

@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lscd
 from lscd.cli import build_parser, main
+from lscd.context import export_uses
 from lscd.corpus import T1, T2, load_corpus
-from lscd.errors import StageError, TrainingDivergedError
+from lscd.errors import FormatError, StageError, TrainingDivergedError
 from lscd.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -299,10 +301,13 @@ class TestStaticStage:
             sgns = dataclasses.replace(
                 config.sgns, seed=derive_seed(config.seed, f"sgns-{period}")
             )
-            save_vectors(train_sgns(corpus, sgns), tmp_path / f"{period}.vec")
-            assert (static.path / f"{period}.vec").read_bytes() == (
-                tmp_path / f"{period}.vec"
+            space = train_sgns(corpus, sgns)
+            np.save(tmp_path / f"{period}.npy", space.vectors)
+            assert (static.path / f"{period}.npy").read_bytes() == (
+                tmp_path / f"{period}.npy"
             ).read_bytes()
+            words = (static.path / f"{period}.words.txt").read_text(encoding="utf-8")
+            assert words.splitlines() == space.words
 
     def test_one_core_trains_in_process(self, tmp_path, bench_dir, monkeypatch):
         import concurrent.futures
@@ -320,10 +325,166 @@ class TestStaticStage:
         single = Pipeline(load_config(write_config(tmp_path / "single", bench_dir)))
         single_static = single.train_static()
         assert not single_static.cached
-        for period in (T1, T2):
-            assert (single_static.path / f"{period}.vec").read_bytes() == (
-                pooled_static.path / f"{period}.vec"
+        for name in (f"{p}.{ext}" for p in (T1, T2) for ext in ("npy", "words.txt")):
+            assert (single_static.path / name).read_bytes() == (
+                pooled_static.path / name
             ).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def handoff(tmp_path_factory, bench_dir):
+    """One run on the test benchmark plus a target that occurs only in t1,
+    recording what `align_spaces` and `extract_uses` computed in-process, what
+    `static_score` and `contextual_score` were handed, and each stage's key
+    payload."""
+    import lscd.pipeline as pipeline_module
+
+    tmp = tmp_path_factory.mktemp("handoff")
+    bench = tmp / "bench"
+    bench.mkdir()
+    for name in ("corpus_t1.txt", "corpus_t2.txt", "gold.tsv", "gold_binary.tsv"):
+        (bench / name).write_bytes((bench_dir / name).read_bytes())
+    with open(bench / "corpus_t1.txt", "a", encoding="utf-8") as fh:
+        fh.write("onlyold stands here\n")
+    targets = (bench_dir / "targets.txt").read_text(encoding="utf-8")
+    (bench / "targets.txt").write_text(targets + "onlyold\n", encoding="utf-8")
+    config = load_config(
+        write_config(tmp, bench), overrides={"gold": None, "binary_gold": None}
+    )
+
+    calls: dict[str, list] = {}
+    payloads: dict[str, dict] = {}
+
+    def recording(name, fn):
+        def wrapper(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            calls.setdefault(name, []).append((args, result))
+            return result
+
+        return wrapper
+
+    def recording_key(payload):
+        payloads[payload["stage"]] = payload
+        return key_of(payload)
+
+    key_of = pipeline_module._key_of
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("align_spaces", "extract_uses", "static_score", "contextual_score"):
+            mp.setattr(pipeline_module, name, recording(name, getattr(pipeline_module, name)))
+        mp.setattr(pipeline_module, "_key_of", recording_key)
+        pipeline = Pipeline(config)
+        pipeline.run_all()
+    return config, pipeline, calls, payloads
+
+
+class TestArtifactHandoff:
+    def test_scores_read_exactly_what_upstream_computed(self, handoff):
+        _, _, calls, _ = handoff
+        ((_, aligned),) = calls["align_spaces"]
+        (((read, _), _),) = calls["static_score"]
+        for computed, loaded in (
+            (aligned.space_t1, read.space_t1),
+            (aligned.space_t2, read.space_t2),
+        ):
+            assert loaded.words == computed.words
+            assert np.array_equal(loaded.vectors, computed.vectors)
+        assert np.array_equal(read.rotation, aligned.rotation)
+        assert read.shared_vocabulary == aligned.shared_vocabulary
+
+        extracted = [result for _, result in calls["extract_uses"]]
+        (((pairs, _), _),) = calls["contextual_score"]
+        for loaded, sets in zip(zip(*pairs), extracted):
+            assert len(loaded) == len(sets)
+            for got, want in zip(loaded, sets):
+                assert (got.word, got.period) == (want.word, want.period)
+                assert got.sentence_indices == want.sentence_indices
+                assert got.vectors.shape == want.vectors.shape
+                assert np.array_equal(got.vectors, want.vectors)
+
+    def test_target_without_uses_round_trips_empty_and_is_median_filled(self, handoff):
+        config, pipeline, _, _ = handoff
+        index = pipeline.stages["uses"].path / f"uses_{T2}.index.tsv"
+        assert "onlyold\t0\t" in index.read_text(encoding="utf-8").splitlines()
+        scores = (pipeline.stages["scores"].path / "scores.tsv").read_text()
+        rows = {tuple(r.split("\t")[:2]): r.split("\t")[3] for r in scores.splitlines()}
+        assert rows["context_dependent", "onlyold"] == "unscorable(no t2 uses)"
+        assert rows["context_free", "onlyold"] == "unscorable(missing in t2 vocabulary)"
+        ranks = (pipeline.stages["ensemble"].path / "ranks.tsv").read_text()
+        flags = {r.split("\t")[0]: r.split("\t")[4] for r in ranks.splitlines()[1:]}
+        assert flags["onlyold"] == "context_free,context_dependent"
+        graded = (config.output_dir / "answers" / "graded_ensemble.tsv").read_text()
+        assert "onlyold" in [line.split("\t")[0] for line in graded.splitlines()]
+
+    def test_parent_text_artifacts_rebuilt_not_misread(self, tmp_path, handoff):
+        # Before the array layout, these stages had the same payloads without
+        # the format tag and kept text files under those keys.
+        import lscd.pipeline as pipeline_module
+
+        config, first, calls, payloads = handoff
+
+        def untagged_key(stage, **upstream):
+            payload = {k: v for k, v in payloads[stage].items() if k != "format"}
+            return pipeline_module._key_of({**payload, **upstream})
+
+        static_key = untagged_key("static")
+        out = tmp_path / "out"
+        old = {
+            "static": out / "static" / static_key,
+            "align": out / "align" / untagged_key("align", static=static_key),
+            "uses": out / "uses" / untagged_key("uses"),
+        }
+        for directory in old.values():
+            directory.mkdir(parents=True)
+        ((args, aligned),) = calls["align_spaces"]
+        for period, space in zip((T1, T2), args):
+            save_vectors(space, old["static"] / f"{period}.vec")
+        for period, space in ((T1, aligned.space_t1), (T2, aligned.space_t2)):
+            save_vectors(space, old["align"] / f"{period}.vec")
+        np.savetxt(old["align"] / "rotation.tsv", aligned.rotation, "%.12g", "\t")
+        (old["align"] / "shared_vocabulary.txt").write_text(
+            "\n".join(aligned.shared_vocabulary) + "\n", encoding="utf-8"
+        )
+        for period, (_, sets) in zip((T1, T2), calls["extract_uses"]):
+            export_uses(sets, old["uses"] / f"uses_{period}.tsv")
+        for directory in old.values():
+            (directory / ".complete").touch()
+
+        pipeline = Pipeline(dataclasses.replace(config, output_dir=out))
+        pipeline.score()
+        for stage in ("static", "align", "uses", "scores"):
+            assert not pipeline.stages[stage].cached
+        for stage, directory in old.items():
+            assert pipeline.stages[stage].path != directory
+        assert (pipeline.stages["scores"].path / "scores.tsv").read_bytes() == (
+            first.stages["scores"].path / "scores.tsv"
+        ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "stage,name",
+        [
+            ("align", f"{T1}.npy"),
+            ("align", f"{T2}.words.txt"),
+            ("uses", f"uses_{T1}.npy"),
+            ("uses", f"uses_{T2}.index.tsv"),
+        ],
+    )
+    def test_truncated_artifact_fails_naming_stage_and_file(
+        self, tmp_path, handoff, stage, name
+    ):
+        import shutil
+
+        config, first, _, _ = handoff
+        out = tmp_path / "out"
+        for upstream in ("ingest", "static", "align", "clf-dataset", "clf-model", "uses"):
+            shutil.copytree(first.stages[upstream].path, out / upstream / first.stages[upstream].key)
+        path = out / stage / first.stages[stage].key / name
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        with pytest.raises(StageError) as excinfo:
+            Pipeline(dataclasses.replace(config, output_dir=out)).score()
+        assert excinfo.value.stage == "scores"
+        assert isinstance(excinfo.value.cause, FormatError)
+        assert str(path) in str(excinfo.value)
 
 
 class TestCorpusMemo:
@@ -494,6 +655,13 @@ class TestCli:
         ) == 0
         gold = (bench / "gold.tsv").read_text().strip().splitlines()
         assert [line.split("\t")[1] for line in gold] == ["0", "0.5", "1"]
+
+    def test_gen_bench_bad_degrees_entry_named(self, tmp_path, capsys):
+        bench = tmp_path / "bench"
+        assert main(["gen-bench", "--out", str(bench), "--degrees", "0,,1"]) == 1
+        err = capsys.readouterr().err
+        assert "--degrees entry '' of '0,,1' is not a number" in err
+        assert not bench.exists()
 
     def test_gen_bench_degrees_set_target_count(self, tmp_path, capsys):
         bench = tmp_path / "bench"

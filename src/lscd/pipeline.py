@@ -341,7 +341,15 @@ class Pipeline:
 
         return self._ensure("ingest", payload, build)
 
-    def train_static(self) -> StageResult:
+    def train_static(self, beside=None) -> StageResult:
+        """Train one SGNS space per period on the ingested corpora.
+
+        `beside` is an optional stage method that reads the raw corpora
+        (`score` passes `extract`). If this stage must be built, `beside` is
+        built with it: in a helper process forked for the stage while this
+        one trains, or first, in this process, when only one core is usable.
+        No process holds the raw corpora while it trains SGNS.
+        """
         cfg = self.cfg
         ingest = self.ingest()
         seeds = {p: derive_seed(cfg.seed, f"sgns-{p}") for p in (T1, T2)}
@@ -352,44 +360,38 @@ class Pipeline:
             "sgns": dataclasses.asdict(dataclasses.replace(cfg.sgns, seed=0)),
             "seeds": seeds,
         }
+        beside_errors: list[Exception] = []
 
         def build(directory: Path):
-            jobs = {
-                period: (
+            jobs = [
+                (
                     ingest.path / f"corpus_{period}.txt",
                     period,
                     dataclasses.replace(cfg.sgns, seed=seeds[period]),
                     directory,
                 )
                 for period in (T1, T2)
-            }
+            ]
             # Not every platform reports affinity; then count every CPU.
             if hasattr(os, "sched_getaffinity"):
                 cores = len(os.sched_getaffinity(0))
             else:
                 cores = os.cpu_count()
-            if cores == 1:
-                # On one core a worker would only compete with this process.
-                for period in (T1, T2):
-                    _train_space(*jobs[period])
+            if cores > 1:
+                beside_errors.extend(_train_with_helper(self, jobs, beside))
                 return
-            # Imported here so that runs which find this stage cached, or
-            # train on one core, never pay for the pool's import.
-            import multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+            # On one core a helper would only compete with this process.
+            if beside is not None:
+                beside()
+            self._corpora = None
+            for job in jobs:
+                _train_space(*job)
 
-            # The two spaces share nothing until alignment: T2 trains in a
-            # forked worker while this process trains T1. Fork, unlike spawn
-            # and forkserver, neither re-imports the caller's __main__ nor
-            # numpy in the worker.
-            with ProcessPoolExecutor(
-                1, mp_context=multiprocessing.get_context("fork")
-            ) as pool:
-                worker = pool.submit(_train_space, *jobs[T2])
-                _train_space(*jobs[T1])
-                worker.result()
-
-        return self._ensure("static", payload, build)
+        static = self._ensure("static", payload, build)
+        # The static stage is complete even if the branch beside it failed.
+        if beside_errors:
+            raise beside_errors[0]
+        return static
 
     def align(self) -> StageResult:
         cfg = self.cfg
@@ -508,8 +510,13 @@ class Pipeline:
 
     def score(self) -> StageResult:
         cfg = self.cfg
-        align_stage = self.align()
+        # The static and the contextual branch share nothing until here: the
+        # contextual one is built beside SGNS training if that must run. The
+        # raw corpora are not read after it.
+        self.train_static(beside=self.extract)
         uses_stage = self.extract()
+        self._corpora = None
+        align_stage = self.align()
         seed = derive_seed(cfg.seed, "mpe")
         payload = {
             "stage": "scores",
@@ -662,10 +669,6 @@ class Pipeline:
         """Execute the full pipeline, publish the answer files and write the
         run manifest. Returns a report of what ran and what was reused."""
         cfg = self.cfg
-        # Raw-corpus stages first: each corpus parsed once, freed before SGNS.
-        self.ingest()
-        self.extract()
-        self._corpora = None
         ensemble_stage = self.ensemble()
         if cfg.gold is not None or cfg.binary_gold is not None:
             self.evaluate()
@@ -724,6 +727,87 @@ def _train_space(
 ) -> None:
     """Train one period's SGNS space on its ingested corpus and save it."""
     _save_space(train_sgns(load_corpus(corpus_path, period), config), directory, period)
+
+
+# -- the helper process ------------------------------------------------------
+#
+# The static stage shares its SGNS jobs with one helper forked from the
+# calling process. Both take jobs from one queue that holds every job, then
+# one stop marker per process, so each job runs once, in whichever process
+# frees first, and neither waits on the other for work. Before it takes any,
+# the helper builds the contextual branch, if asked to, from the raw corpora
+# it inherited. It reports each piece of work on a pipe: the contextual
+# stages' results or error first, then one message per space it trained.
+
+
+def _train_with_helper(pipeline: Pipeline, jobs: list, beside) -> list[Exception]:
+    """Train `jobs` beside a forked helper that first builds `beside`, if
+    given. Adds the stages it built to `pipeline.stages` and returns its
+    error, if any; an SGNS error is raised. The helper is joined first."""
+    # Imported here so that runs which find the static stage cached, or run
+    # on one core, never pay for the import.
+    import multiprocessing
+
+    # Fork, unlike spawn and forkserver, re-imports neither the caller's
+    # __main__ nor numpy, and hands the helper the parsed corpora.
+    context = multiprocessing.get_context("fork")
+    queue = context.SimpleQueue()
+    for job in jobs + [None, None]:  # one stop marker per process
+        queue.put(job)
+    reports, report = context.Pipe(duplex=False)
+    helper = context.Process(target=_helper, args=(pipeline, beside, queue, report))
+    helper.start()
+    report.close()
+    pipeline._corpora = None
+    try:
+        trained = 0
+        while (job := queue.get()) is not None:
+            _train_space(*job)
+            trained += 1
+        errors = []
+        for _ in range(len(jobs) - trained + (beside is not None)):
+            try:
+                kind, value = reports.recv()
+            except EOFError:
+                helper.join()
+                raise LscdError(
+                    f"the helper process exited (code {helper.exitcode}) "
+                    "before it reported all its work"
+                ) from None
+            if kind == "stages":
+                pipeline.stages.update(value)
+            elif kind == "beside":
+                errors.append(value)
+            elif value is not None:
+                raise value
+        return errors
+    except BaseException:
+        helper.terminate()
+        raise
+    finally:
+        helper.join()
+        reports.close()
+        queue.close()
+
+
+def _helper(pipeline: Pipeline, beside, queue, report) -> None:
+    if beside is not None:
+        built = set(pipeline.stages)
+        try:
+            beside()
+        except Exception as exc:
+            report.send(("beside", exc))
+        else:
+            new = {k: v for k, v in pipeline.stages.items() if k not in built}
+            report.send(("stages", new))
+        pipeline._corpora = None
+    while (job := queue.get()) is not None:
+        try:
+            _train_space(*job)
+        except Exception as exc:
+            report.send(("space", exc))
+        else:
+            report.send(("space", None))
 
 
 # -- array artifacts ---------------------------------------------------------

@@ -205,8 +205,11 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     d = config.dimension
     rng = np.random.default_rng(config.seed)
 
-    vec_in = (rng.random((n_words, d)) - 0.5) / d
-    vec_out = np.zeros((n_words, d))
+    # The input and output vectors are the two halves of one matrix, so that
+    # a chunk's updates to both take one scatter.
+    weights = np.zeros((2 * n_words, d))
+    vec_in, vec_out = weights[:n_words], weights[n_words:]
+    vec_in[:] = (rng.random((n_words, d)) - 0.5) / d
 
     noise = freq**config.noise_exponent
     noise_cdf = np.cumsum(noise)
@@ -218,6 +221,8 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
         ratio = config.subsample_threshold / frac
         keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio)
 
+    k = config.negatives
+    deltas = np.empty(((2 + k) * _CHUNK, d))
     lr0 = config.initial_learning_rate
     lr_floor = lr0 * _LR_FLOOR_FACTOR
     word_ids = {w: i for i, w in enumerate(words)}
@@ -234,18 +239,20 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
         order = rng.permutation(n_pairs)
         centers = centers[order]
         contexts = contexts[order]
+        # No other draw falls between the chunks, so one draw for the epoch
+        # gives every chunk the negatives that a draw per chunk would.
+        draws = rng.random((n_pairs, k))
         epoch_loss = 0.0
         for start in range(0, n_pairs, _CHUNK):
             step += 1
             cen = centers[start : start + _CHUNK]
             ctx = contexts[start : start + _CHUNK]
-            b = len(cen)
+            negs = np.searchsorted(
+                noise_cdf, draws[start : start + _CHUNK], side="right"
+            )
             progress = (epoch + start / n_pairs) / config.epochs
             lr = max(lr0 * (1.0 - progress), lr_floor)
 
-            negs = np.searchsorted(
-                noise_cdf, rng.random((b, config.negatives)), side="right"
-            )
             # A negative colliding with the true context word contributes
             # nothing to this step.
             live = negs != ctx[:, None]
@@ -269,23 +276,26 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             pos_coef = (1.0 - sigmoid(pos_z)) * lr
             neg_coef = -(sigmoid(neg_z) * live) * lr
 
-            delta_cen = pos_coef[:, None] * u_ctx + np.einsum(
-                "bk,bkd->bd", neg_coef, u_neg
+            # Every delta comes from the gathers above, the input and output
+            # rows are disjoint, and each row's deltas keep their order, so
+            # one scatter over both halves applies what two would. The
+            # deltas are written in place: the centers', the context words',
+            # then the negatives'.
+            b = len(cen)
+            d_cen, d_ctx, d_neg = np.split(deltas[: (2 + k) * b], (b, 2 * b))
+            np.multiply(pos_coef[:, None], u_ctx, out=d_cen)
+            d_cen += np.einsum("bk,bkd->bd", neg_coef, u_neg)
+            np.multiply(pos_coef[:, None], v_cen, out=d_ctx)
+            np.multiply(
+                neg_coef[:, :, None], v_cen[:, None, :], out=d_neg.reshape(b, k, d)
             )
-            _scatter_add(
-                vec_out,
-                np.concatenate((ctx, negs.reshape(-1))),
-                np.concatenate(
-                    (
-                        pos_coef[:, None] * v_cen,
-                        (neg_coef[:, :, None] * v_cen[:, None, :]).reshape(-1, d),
-                    )
-                ),
-            )
-            _scatter_add(vec_in, cen, delta_cen)
+            rows = np.concatenate((cen, n_words + ctx, n_words + negs.reshape(-1)))
+            _scatter_add(weights, rows, deltas[: (2 + k) * b])
         losses.append(epoch_loss / n_pairs)
+        # Freed before the next epoch builds its own.
+        del centers, contexts, order, draws
 
-    if not (np.isfinite(vec_in).all() and np.isfinite(vec_out).all()):
+    if not np.isfinite(weights).all():
         raise TrainingDivergedError("non-finite values in trained matrices", step=step)
     return EmbeddingSpace(
         words=words,

@@ -182,6 +182,21 @@ class TestSharedPass:
         _sgd_update(fortran, ids, 1, 0.2, step=1)
         assert np.array_equal(fortran.embeddings, model.embeddings)
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_embedding_update_matches_add_at_bit_for_bit(self, order):
+        # A step adds to the rows in place when no token repeats and through
+        # np.add.at when one does; both must give np.add.at's bits.
+        for ids in ([3, 1, 7, 0], [3, 1, 3, 7, 3], [5], [2, 2]):
+            ids = np.array(ids)
+            model = small_model(seed=len(ids))
+            model.embeddings = np.asarray(model.embeddings * 1e3, order=order)
+            _, grads = classifier_loss_and_grads(model, ids, 1)
+            want = model.embeddings.copy(order=order)
+            np.add.at(want, ids, -0.2 * grads["embeddings"])
+            _sgd_update(model, ids, 1, 0.2, step=1)
+            assert model.embeddings.flags.f_contiguous == (order == "F")
+            assert model.embeddings.tobytes(order="A") == want.tobytes(order="A")
+
     @pytest.mark.parametrize("radius", [0, 2, 5])
     def test_pooled_logit_matches_mix_oracle(self, radius):
         # The pooled vector is the mean of the reference mix, out-of-vocabulary

@@ -3,7 +3,9 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import pickle
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -57,6 +59,17 @@ def bench_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("bench")
     run_benchmark_generation(path, n_targets=5, sentences=600, seed=3)
     return path
+
+
+# What forking the static stage's helper imports; the process pool it
+# replaced is listed too.
+FORK_MODULES = {
+    "multiprocessing",
+    "multiprocessing.connection",
+    "multiprocessing.queues",
+    "concurrent.futures.process",
+}
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(lscd.__file__).parents[1]))
 
 
 def write_config(tmp_path: Path, bench: Path, extra: str = "") -> Path:
@@ -279,6 +292,35 @@ class TestPipelineRun:
         assert list(rows)[-len(epochs) - 1:] == epochs + ["test_loss"]
         assert all(0.0 < float(rows[name]) < 1.0 for name in epochs + ["test_loss"])
 
+    def test_cached_static_stage_forks_nothing(self, run_dir, monkeypatch):
+        # Only building the static stage forks its helper: a warm run and a
+        # rescore neither fork nor import multiprocessing.
+        import multiprocessing
+
+        _, config_path, _, _ = run_dir
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a run with a cached static stage forked")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        for overrides in ({"pair_budget": 10**15}, {}):  # rescore, then warm
+            pipeline = Pipeline(load_config(config_path, overrides=overrides))
+            pipeline.run_all()
+            assert pipeline.stages["static"].cached
+            assert pipeline.stages["ensemble"].cached == (not overrides)
+
+        run_all = ["run-all", "--config", str(config_path)]
+        code = (
+            "import sys; from lscd.cli import main; "
+            f"main({run_all!r}); main({run_all + ['--pair-budget', '51']!r}); "
+            f"print(sorted(set({sorted(FORK_MODULES)!r}) & set(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=SRC_ENV, capture_output=True,
+            text=True, check=True, timeout=120,
+        ).stdout
+        assert out.splitlines()[-1] == "[]"
+
     def test_interrupted_stage_rebuilt(self, run_dir):
         _, config_path, config, first = run_dir
         # Simulate a partial write: remove the sentinel of a cheap stage.
@@ -310,24 +352,24 @@ class TestStaticStage:
             assert words.splitlines() == space.words
 
     def test_one_core_trains_in_process(self, tmp_path, bench_dir, monkeypatch):
-        import concurrent.futures
+        import multiprocessing
 
-        (tmp_path / "pooled").mkdir()
+        (tmp_path / "forked").mkdir()
         (tmp_path / "single").mkdir()
-        pooled = Pipeline(load_config(write_config(tmp_path / "pooled", bench_dir)))
-        pooled_static = pooled.train_static()
+        forked = Pipeline(load_config(write_config(tmp_path / "forked", bench_dir)))
+        forked_static = forked.train_static()
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was opened on one core")
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a helper process was forked on one core")
 
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         single = Pipeline(load_config(write_config(tmp_path / "single", bench_dir)))
         single_static = single.train_static()
         assert not single_static.cached
         for name in (f"{p}.{ext}" for p in (T1, T2) for ext in ("npy", "words.txt")):
             assert (single_static.path / name).read_bytes() == (
-                pooled_static.path / name
+                forked_static.path / name
             ).read_bytes()
 
 
@@ -352,28 +394,42 @@ def handoff(tmp_path_factory, bench_dir):
         write_config(tmp, bench), overrides={"gold": None, "binary_gold": None}
     )
 
-    calls: dict[str, list] = {}
-    payloads: dict[str, dict] = {}
+    # The contextual branch runs in the static stage's helper process, so
+    # every call and payload is appended to a file that both processes write.
+    log = tmp / "log"
+    log.mkdir()
+    recorded = ("align_spaces", "extract_uses", "static_score", "contextual_score")
 
     def recording(name, fn):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            calls.setdefault(name, []).append((args, result))
+            with open(log / f"{name}.pickle", "ab") as fh:
+                pickle.dump((args, result), fh)
             return result
 
         return wrapper
 
     def recording_key(payload):
-        payloads[payload["stage"]] = payload
+        with open(log / "payloads.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(payload) + "\n")
         return key_of(payload)
 
     key_of = pipeline_module._key_of
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("align_spaces", "extract_uses", "static_score", "contextual_score"):
+        for name in recorded:
             mp.setattr(pipeline_module, name, recording(name, getattr(pipeline_module, name)))
         mp.setattr(pipeline_module, "_key_of", recording_key)
         pipeline = Pipeline(config)
         pipeline.run_all()
+    calls: dict[str, list] = {name: [] for name in recorded}
+    for name in recorded:
+        with open(log / f"{name}.pickle", "rb") as fh:
+            while fh.peek(1):
+                calls[name].append(pickle.load(fh))
+    payloads: dict[str, dict] = {}
+    for line in (log / "payloads.jsonl").read_text(encoding="utf-8").splitlines():
+        payload = json.loads(line)
+        payloads[payload["stage"]] = payload
     return config, pipeline, calls, payloads
 
 
@@ -493,13 +549,15 @@ class TestCorpusMemo:
     ):
         import lscd.pipeline as pipeline_module
 
-        loaded, extracted = {}, []
+        loaded = {}
         load_corpus = pipeline_module.load_corpus
         extract_uses = pipeline_module.extract_uses
         train_sgns = pipeline_module.train_sgns
-        # The static stage loads T2's corpus in its worker process, so every
-        # call is logged to a file that both processes append to.
+        # The static stage's helper process extracts the uses and may train
+        # either space, so loads and extractions are logged to files that
+        # both processes append to; fork keeps each object's id().
         log = tmp_path / "loads.log"
+        extract_log = tmp_path / "extracted.log"
 
         def counting_load(path, period):
             with open(log, "a", encoding="utf-8") as fh:
@@ -508,7 +566,8 @@ class TestCorpusMemo:
             return loaded[str(path), period]
 
         def recording_extract(model, corpus, targets):
-            extracted.append(corpus)
+            with open(extract_log, "a", encoding="utf-8") as fh:
+                fh.write(f"{id(corpus)}\n")
             return extract_uses(model, corpus, targets)
 
         def checked_sgns(*args, **kwargs):
@@ -529,7 +588,8 @@ class TestCorpusMemo:
         assert [c for c in calls if c in raw] == raw
         assert len(calls) == 4  # plus the static stage's two ingest outputs
         c1, c2 = loaded[raw[0]], loaded[raw[1]]
-        assert extracted[0] is c1 and extracted[1] is c2
+        extracted = list(map(int, extract_log.read_text().split()))
+        assert extracted[0] == id(c1) and extracted[1] == id(c2)
         assert pipeline._corpora is None
         for corpus, (path, period) in zip((c1, c2), raw):
             fresh = load_corpus(path, period)
@@ -572,6 +632,91 @@ class TestPipelineErrors:
         assert isinstance(excinfo.value.cause, TrainingDivergedError)
         assert excinfo.value.cause.step == 7
         assert not any((config.output_dir / "static").rglob(".complete"))
+
+    # Each case runs `run_all` in its own process, under a timeout, so that
+    # a deadlock between the static stage and its helper fails the test.
+    FAULT_SCRIPT = """
+import json, os, sys, time
+import lscd.pipeline as pipeline_module
+from lscd.errors import DatasetError, StageError, TrainingDivergedError
+from lscd.pipeline import Pipeline, load_config
+
+config_path, fault, pid_file = sys.argv[1:]
+train_time_classifier = pipeline_module.train_time_classifier
+train_sgns = pipeline_module.train_sgns
+
+def classifier(*args, **kwargs):
+    with open(pid_file + ".tmp", "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(pid_file + ".tmp", pid_file)
+    if fault == "classifier":
+        raise DatasetError("injected classifier failure")
+    time.sleep(120)  # still busy when t1 fails
+    return train_time_classifier(*args, **kwargs)
+
+def sgns(corpus, config):
+    if fault == "t1" and corpus.period == "t1":
+        while not os.path.exists(pid_file):
+            time.sleep(0.01)
+        raise TrainingDivergedError("injected t1 failure", step=3)
+    return train_sgns(corpus, config)
+
+pipeline_module.train_time_classifier = classifier
+pipeline_module.train_sgns = sgns
+os.sched_getaffinity = lambda pid: {0, 1}  # fork the helper on any machine
+try:
+    Pipeline(load_config(config_path)).run_all()
+    result = {"stage": None}
+except StageError as exc:
+    cause = exc.cause
+    result = {"stage": exc.stage, "cause": type(cause).__name__, "message": str(cause)}
+helper = int(open(pid_file).read())
+try:
+    os.kill(helper, 0)  # a zombie still takes signal 0
+    result["helper_alive"] = True
+except ProcessLookupError:
+    result["helper_alive"] = False
+result["helper_forked"] = helper != os.getpid()
+print(json.dumps(result))
+"""
+
+    def run_fault(self, tmp_path, bench_dir, fault):
+        config_path = write_config(tmp_path, bench_dir)
+        argv = [sys.executable, "-c", self.FAULT_SCRIPT, str(config_path), fault,
+                str(tmp_path / "helper.pid")]
+        # In its own session, so that a hung run's helper is killed with it.
+        with subprocess.Popen(
+            argv, env=SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        ) as proc:
+            try:
+                out, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.communicate()
+                pytest.fail(f"run_all with a {fault} failure hung")
+        assert proc.returncode == 0, err
+        completed = {
+            p.parent.parent.name for p in (tmp_path / "out").rglob(".complete")
+        }
+        return json.loads(out.splitlines()[-1]), completed
+
+    def test_helper_classifier_failure_surfaces_after_static(self, tmp_path, bench_dir):
+        result, completed = self.run_fault(tmp_path, bench_dir, "classifier")
+        assert result["stage"] == "clf-model"
+        assert result["cause"] == "DatasetError"
+        assert result["message"] == "injected classifier failure"
+        assert result["helper_forked"] and not result["helper_alive"]
+        # The static stage, trained beside the failed branch, is kept.
+        assert completed == {"ingest", "clf-dataset", "static"}
+
+    def test_caller_t1_failure_stops_busy_helper(self, tmp_path, bench_dir):
+        result, completed = self.run_fault(tmp_path, bench_dir, "t1")
+        assert result["stage"] == "static"
+        assert result["cause"] == "TrainingDivergedError"
+        assert result["message"] == "injected t1 failure"
+        assert result["helper_forked"] and not result["helper_alive"]
+        assert completed == {"ingest", "clf-dataset"}
 
     def test_evaluate_without_gold_rejected(self, tmp_path, bench_dir):
         config_path = write_config(tmp_path, bench_dir)
@@ -627,16 +772,14 @@ class TestCli:
         assert not {"seed", "theta", "masked", "pair_budget"} & set(vars(args))
 
     def test_import_leaves_process_pool_unloaded(self):
-        # Only the static stage's build starts a worker; runs that find it
-        # cached must not pay for importing the pool.
+        # Only the static stage's build forks a helper; runs that find it
+        # cached must not pay for importing multiprocessing.
         code = (
             "import sys, lscd.cli; "
-            "print(sorted({'multiprocessing', 'concurrent.futures.process'} "
-            "& set(sys.modules)))"
+            f"print(sorted(set({sorted(FORK_MODULES)!r}) & set(sys.modules)))"
         )
-        env = dict(os.environ, PYTHONPATH=str(Path(lscd.__file__).parents[1]))
         out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+            [sys.executable, "-c", code], env=SRC_ENV, capture_output=True, text=True,
             check=True,
         ).stdout
         assert out.strip() == "[]"

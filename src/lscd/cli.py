@@ -12,8 +12,9 @@ import argparse
 import dataclasses
 import sys
 
+from . import benchmark
 from .errors import LscdError, StageError
-from .pipeline import Pipeline, PipelineConfig, load_config, run_benchmark_generation
+from .pipeline import Pipeline, PipelineConfig, load_config
 
 _STAGE_COMMANDS = {
     "ingest": ("ingest", "Load, validate and frequency-threshold the corpora"),
@@ -131,13 +132,13 @@ def main(argv: list[str] | None = None) -> int:
             n_targets = args.targets
             if n_targets is None:
                 n_targets = 8 if degrees is None else len(degrees)
-            paths = run_benchmark_generation(
-                args.out,
+            bench = benchmark.generate_shift_benchmark(
                 n_targets=n_targets,
-                sentences=args.sentences,
-                seed=args.seed,
                 degrees=degrees,
+                base_sentences=args.sentences,
+                seed=args.seed,
             )
+            paths = benchmark.write_benchmark(bench, args.out)
             for name, path in paths.items():
                 print(f"{name}: {path}")
             return 0

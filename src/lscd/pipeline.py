@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, benchmark as benchmark_mod
+from . import __version__
 from .align import DEFAULT_PREPROCESSING, AlignedPair, align as align_spaces
 from .context import (
     EncoderConfig,
@@ -931,17 +931,3 @@ def _read_rankings(path: Path) -> dict[str, Ranking]:
     return {
         name: Ranking(ranks=ranks, source=name) for name, ranks in columns.items()
     }
-
-
-def run_benchmark_generation(
-    out_dir: str | Path,
-    n_targets: int,
-    sentences: int,
-    seed: int,
-    degrees: list[float] | None = None,
-) -> dict[str, Path]:
-    """Generate a synthetic benchmark and write its files to `out_dir`."""
-    bench = benchmark_mod.generate_shift_benchmark(
-        n_targets=n_targets, degrees=degrees, base_sentences=sentences, seed=seed
-    )
-    return benchmark_mod.write_benchmark(bench, out_dir)

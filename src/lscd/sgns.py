@@ -13,6 +13,10 @@ one mask column per window offset keeps a pair when both positions lie in the
 same sentence and the offset is within the center's sampled span. A chunk's
 updates are summed per row in pair order (context words before negatives)
 and then added to the matrices.
+
+One function, `_chunk_update`, computes the loss and the gradients: training
+calls it once per chunk, and `sgns_step`, which the gradient checks test, is
+the same function on a batch of one pair.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ class SgnsConfig:
             raise ValueError("epochs must be >= 0")
         if self.initial_learning_rate <= 0:
             raise ValueError("initial_learning_rate must be positive")
+        if self.subsample_threshold is not None and not self.subsample_threshold > 0:
+            raise ValueError("subsample_threshold must be positive")
 
 
 @dataclass
@@ -90,17 +96,41 @@ class EmbeddingSpace:
 
 def sigmoid(x: np.ndarray | float) -> np.ndarray | float:
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     return out if out.ndim else float(out)
 
 
 def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     # log sigma(x) = -softplus(-x), computed without overflow
     return np.minimum(x, 0.0) - np.log1p(np.exp(-np.abs(x)))
+
+
+def _chunk_update(
+    v_cen: np.ndarray, u_ctx: np.ndarray, u_neg: np.ndarray,
+    live: np.ndarray, lr: float, out: np.ndarray,
+) -> float:
+    """Summed loss of b pairs; writes each gathered row's step into `out`.
+
+    v_cen and u_ctx are (b, d), u_neg is (b, k, d), and live (b, k) masks out
+    negatives that collide with their pair's context word. `out` receives
+    -lr times the loss gradient for the b centers, the b context words, then
+    the b·k negatives in row-major order; a dead negative's row is zero.
+    """
+    b = len(v_cen)
+    pos_z = np.einsum("bd,bd->b", v_cen, u_ctx)
+    neg_z = np.einsum("bkd,bd->bk", u_neg, v_cen)
+    loss = -_log_sigmoid(pos_z).sum() - (_log_sigmoid(-neg_z) * live).sum()
+    pos_coef = (1.0 - sigmoid(pos_z)) * lr
+    neg_coef = -(sigmoid(neg_z) * live) * lr
+    d_cen, d_ctx, d_neg = np.split(out, (b, 2 * b))
+    np.multiply(pos_coef[:, None], u_ctx, out=d_cen)
+    d_cen += np.einsum("bk,bkd->bd", neg_coef, u_neg)
+    np.multiply(pos_coef[:, None], v_cen, out=d_ctx)
+    np.multiply(
+        neg_coef[:, :, None], v_cen[:, None, :], out=d_neg.reshape(u_neg.shape)
+    )
+    return float(loss)
 
 
 def sgns_step(
@@ -110,23 +140,19 @@ def sgns_step(
 
     loss = -log sigma(u_ctx . v) - sum_k log sigma(-u_k . v); the returned
     gradients are of this loss with respect to the center vector, the context
-    vector and each negative vector.
+    vector and each negative vector. This is `_chunk_update` on one pair with
+    every negative live: at lr = -1 its rows are the gradients themselves.
     """
     center = np.asarray(center, dtype=np.float64)
     context = np.asarray(context, dtype=np.float64)
     negatives = np.atleast_2d(np.asarray(negatives, dtype=np.float64))
-
-    pos_z = float(center @ context)
-    neg_z = negatives @ center
-    loss = -float(_log_sigmoid(np.asarray(pos_z))) - float(
-        _log_sigmoid(-neg_z).sum()
+    k, d = negatives.shape
+    grads = np.empty((2 + k, d))
+    live = np.ones((1, k), dtype=bool)
+    loss = _chunk_update(
+        center[None], context[None], negatives[None], live, -1.0, grads
     )
-    pos_coef = sigmoid(pos_z) - 1.0  # d loss / d pos_z
-    neg_coef = sigmoid(neg_z)  # d loss / d neg_z
-    grad_center = pos_coef * context + neg_coef @ negatives
-    grad_context = pos_coef * center
-    grad_negatives = neg_coef[:, None] * center[None, :]
-    return loss, grad_center, grad_context, grad_negatives
+    return loss, grads[0], grads[1], grads[2:]
 
 
 def _corpus_ids(corpus: Corpus) -> tuple[list[np.ndarray], list[str], np.ndarray]:
@@ -257,40 +283,20 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             # nothing to this step.
             live = negs != ctx[:, None]
 
-            v_cen = vec_in[cen]
-            u_ctx = vec_out[ctx]
-            u_neg = vec_out[negs]
-
-            pos_z = np.einsum("bd,bd->b", v_cen, u_ctx)
-            neg_z = np.einsum("bkd,bd->bk", u_neg, v_cen)
-
-            chunk_loss = -_log_sigmoid(pos_z).sum() - (
-                _log_sigmoid(-neg_z) * live
-            ).sum()
+            # Every delta comes from these gathers, the input and output
+            # rows are disjoint, and each row's deltas keep their order, so
+            # one scatter over both halves applies what two would.
+            out = deltas[: (2 + k) * len(cen)]
+            chunk_loss = _chunk_update(
+                vec_in[cen], vec_out[ctx], vec_out[negs], live, lr, out
+            )
             if not np.isfinite(chunk_loss):
                 raise TrainingDivergedError(
                     f"non-finite loss in update chunk {step}", step=step
                 )
-            epoch_loss += float(chunk_loss)
-
-            pos_coef = (1.0 - sigmoid(pos_z)) * lr
-            neg_coef = -(sigmoid(neg_z) * live) * lr
-
-            # Every delta comes from the gathers above, the input and output
-            # rows are disjoint, and each row's deltas keep their order, so
-            # one scatter over both halves applies what two would. The
-            # deltas are written in place: the centers', the context words',
-            # then the negatives'.
-            b = len(cen)
-            d_cen, d_ctx, d_neg = np.split(deltas[: (2 + k) * b], (b, 2 * b))
-            np.multiply(pos_coef[:, None], u_ctx, out=d_cen)
-            d_cen += np.einsum("bk,bkd->bd", neg_coef, u_neg)
-            np.multiply(pos_coef[:, None], v_cen, out=d_ctx)
-            np.multiply(
-                neg_coef[:, :, None], v_cen[:, None, :], out=d_neg.reshape(b, k, d)
-            )
+            epoch_loss += chunk_loss
             rows = np.concatenate((cen, n_words + ctx, n_words + negs.reshape(-1)))
-            _scatter_add(weights, rows, deltas[: (2 + k) * b])
+            _scatter_add(weights, rows, out)
         losses.append(epoch_loss / n_pairs)
         # Freed before the next epoch builds its own.
         del centers, contexts, order, draws

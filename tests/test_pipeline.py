@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import lscd
+from lscd.benchmark import generate_shift_benchmark, write_benchmark
 from lscd.cli import build_parser, main
 from lscd.context import export_uses
 from lscd.corpus import T1, T2, load_corpus
@@ -23,7 +24,6 @@ from lscd.pipeline import (
     PipelineConfig,
     derive_seed,
     load_config,
-    run_benchmark_generation,
 )
 from lscd.sgns import save_vectors, train_sgns
 
@@ -57,7 +57,10 @@ seed = 7
 @pytest.fixture(scope="module")
 def bench_dir(tmp_path_factory):
     path = tmp_path_factory.mktemp("bench")
-    run_benchmark_generation(path, n_targets=5, sentences=600, seed=3)
+    bench = generate_shift_benchmark(
+        n_targets=5, degrees=None, base_sentences=600, seed=3
+    )
+    write_benchmark(bench, path)
     return path
 
 

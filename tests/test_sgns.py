@@ -10,6 +10,7 @@ from lscd.sgns import (
     _LR_FLOOR_FACTOR,
     EmbeddingSpace,
     SgnsConfig,
+    _chunk_update,
     _corpus_ids,
     _epoch_pairs,
     _scatter_add,
@@ -72,6 +73,42 @@ class TestGradients:
                 rng.standard_normal((2, 6)),
             )
             assert loss >= 0.0
+
+    def test_chunk_update_matches_finite_differences(self):
+        # The update that training runs, on a batch with dead negatives (one
+        # pair has only dead ones) and lr != 1: -out / lr is the gradient of
+        # the returned loss for every gathered row.
+        rng = np.random.default_rng(5)
+        b, k, d, lr = 4, 3, 5, 0.037
+        gathered = [
+            rng.standard_normal((b, d)),
+            rng.standard_normal((b, d)),
+            rng.standard_normal((b, k, d)),
+        ]
+        live = np.array(
+            [[True, False, True], [False, False, False], [True, True, True],
+             [False, True, True]]
+        )
+        out = np.empty(((2 + k) * b, d))
+        _chunk_update(*gathered, live, lr, out)
+
+        def loss_at(arrays):
+            return _chunk_update(*arrays, live, lr, np.empty_like(out))
+
+        h = 1e-6
+        got = np.split(-out / lr, (b, 2 * b))
+        for i, array in enumerate(gathered):
+            fd = np.zeros_like(array)
+            for j in range(array.size):
+                plus = [a.copy() for a in gathered]
+                minus = [a.copy() for a in gathered]
+                plus[i].flat[j] += h
+                minus[i].flat[j] -= h
+                fd.flat[j] = (loss_at(plus) - loss_at(minus)) / (2 * h)
+            assert relative_error(got[i], fd.reshape(-1, d)) <= 1e-4
+        dead = 2 * b + np.flatnonzero(~live.ravel())
+        assert len(dead) == 5
+        assert not out[dead].any()
 
     def test_sigmoid_stable(self):
         x = np.array([-1000.0, -20.0, 0.0, 20.0, 1000.0])
@@ -224,6 +261,9 @@ class TestTraining:
             SgnsConfig(negatives=0)
         with pytest.raises(ValueError):
             SgnsConfig(initial_learning_rate=0.0)
+        for threshold in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError):
+                SgnsConfig(subsample_threshold=threshold)
 
 
 def reference_epoch_pairs(encoded, window, rng, keep_prob):

@@ -10,8 +10,9 @@ never forms them: their mean is the coefficient-weighted sum
 ``coeffs @ rows / L`` (``coeffs[j]`` being the total offset weight that
 reaches token j), so one forward and backward pass costs O(L*d) and yields a
 sparse, one-row-per-token embedding gradient. Training, prediction and the
-gradient check share that pass. Anything honoring the same contract
-(per-use vectors in the TSV format below) can be plugged in via import_uses.
+gradient check share that pass. No pipeline stage reads a use-set file:
+export_uses and import_uses exchange use sets with other tools, in the TSV
+format below, as library calls only.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ class TimeClassifier:
         """Probability that the sentence comes from the second period."""
         if not tokens:
             raise ValueError("cannot classify an empty sentence")
-        return float(_sigmoid(_forward(self, self.token_ids(tokens))[3]))
+        return float(_sigmoid(_forward(self, self.token_ids(tokens))[-1]))
 
 
 def _bce(p: float, y: float) -> float:
@@ -160,16 +161,17 @@ def _reach(length: int, radius: int) -> np.ndarray:
 
 
 def _forward(model: TimeClassifier, ids: np.ndarray, rows: np.ndarray | None = None):
-    """Rows, pooling coefficients, pooled vector and logit of one sentence:
-    coeffs[j] is the total offset weight reaching token j, so the mean of
-    the mixed vectors is coeffs @ rows / L. `rows`, if given, are the
-    embedding rows of `ids`."""
+    """Rows, `_reach` matrix, pooling coefficients, pooled vector and logit
+    of one sentence: coeffs[j] is the total offset weight reaching token j,
+    so the mean of the mixed vectors is coeffs @ rows / L. `rows`, if given,
+    are the embedding rows of `ids`."""
     if rows is None:
         rows = model._embed(ids)
-    coeffs = _reach(len(ids), model.radius) @ model.offset_weights
+    reach = _reach(len(ids), model.radius)
+    coeffs = reach @ model.offset_weights
     pooled = coeffs @ rows / len(ids)
     z = float(model.head_w @ pooled + model.head_b)
-    return rows, coeffs, pooled, z
+    return rows, reach, coeffs, pooled, z
 
 
 def classifier_loss_and_grads(
@@ -187,7 +189,7 @@ def classifier_loss_and_grads(
     parameter). A non-finite logit raises TrainingDivergedError at `step`.
     A caller that has the embedding rows of `ids` may pass them as `rows`.
     """
-    rows, coeffs, pooled, z = _forward(model, ids, rows)
+    rows, reach, coeffs, pooled, z = _forward(model, ids, rows)
     if not math.isfinite(z):
         raise TrainingDivergedError(f"non-finite activation at step {step}", step=step)
     p = _sigmoid(z)
@@ -198,7 +200,7 @@ def classifier_loss_and_grads(
     scale = dz / len(ids)
     # Offset o's gradient is head_w . (sum of the rows it reads) * dz / L, a
     # sum of the per-token projections rows @ head_w over the tokens it reaches.
-    d_g = scale * ((rows @ model.head_w) @ _reach(len(ids), model.radius))
+    d_g = scale * ((rows @ model.head_w) @ reach)
     d_rows = (scale * coeffs)[:, None] * model.head_w
     return loss, {
         "head_w": dz * pooled,
@@ -216,19 +218,25 @@ def _sgd_update(
     listed = ids.tolist()
     if min(listed) < 0:
         raise ValueError("an out-of-vocabulary token has no embedding row")
-    loss, grads = classifier_loss_and_grads(
-        model, ids, label, step=step, rows=model.embeddings[ids]
-    )
+    # Each id's first position: filled back to front, so the first one stays.
+    first = dict(zip(reversed(listed), range(len(listed) - 1, -1, -1)))
+    rows = model.embeddings[ids]
+    loss, grads = classifier_loss_and_grads(model, ids, label, step=step, rows=rows)
     model.head_w -= lr * grads["head_w"]
     model.head_b -= lr * float(grads["head_b"])
     model.offset_weights -= lr * grads["offset_weights"]
     delta = -lr * grads["embeddings"]
-    # Without a repeated token each element takes one addition either way,
-    # so the indexed add gives np.add.at's bits, about 5x faster.
-    if len(set(listed)) == len(listed):
-        model.embeddings[ids] += delta
+    rows += delta
+    # Each row takes its deltas one addition at a time in sentence order, as
+    # np.add.at would: its pre-step value plus its first delta, then the
+    # delta of each repeat.
+    if len(first) == len(listed):
+        model.embeddings[ids] = rows
     else:
-        np.add.at(model.embeddings, ids, delta)
+        model.embeddings[list(first)] = rows[list(first.values())]
+        for j, t in enumerate(listed):
+            if first[t] != j:
+                model.embeddings[t] += delta[j]
     return loss
 
 
@@ -249,7 +257,8 @@ def train_time_classifier(
     if not train_idx or not test_idx:
         raise DatasetError("both train and test splits must be non-empty")
 
-    words = sorted({t for tokens, _ in dataset.examples for t in tokens})
+    enc = dataset.encoded
+    words = sorted(w for w, n in zip(enc.words, enc.counts().tolist()) if n)
     if vocabulary is not None:
         seen = set(words)
         words.extend(w for w in vocabulary if w not in seen)
@@ -267,10 +276,10 @@ def train_time_classifier(
         head_b=0.0,
         config=config,
     )
-    train = [
-        (model.token_ids(tokens), 1 if label == T2 else 0)
-        for tokens, label in (dataset.examples[i] for i in train_idx)
-    ]
+    ids = model.token_ids(enc.words)[enc.ids]
+    bounds = enc.offsets.tolist()
+    example_ids = [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+    labels = [1 if label == T2 else 0 for _, label in dataset.examples]
 
     lr0 = config.learning_rate
     lr_floor = lr0 * _LR_FLOOR_FACTOR
@@ -279,8 +288,8 @@ def train_time_classifier(
     train_loss = []
     for _ in range(config.epochs):
         losses = []
-        for i in rng.permutation(len(train_idx)):
-            ids, label = train[int(i)]
+        for i in rng.permutation(len(train_idx)).tolist():
+            ids, label = example_ids[train_idx[i]], labels[train_idx[i]]
             if not len(ids):
                 continue
             lr = max(lr0 * (1.0 - step / total_steps), lr_floor)
@@ -288,38 +297,33 @@ def train_time_classifier(
             losses.append(_sgd_update(model, ids, label, lr, step))
         train_loss.append(sum(losses) / len(losses) if losses else math.nan)
 
-    metrics = _evaluate(model, dataset, test_idx)
+    metrics = _evaluate(model, [(example_ids[i], labels[i]) for i in test_idx])
     metrics.train_loss = train_loss
     return model, metrics
 
 
-def _evaluate(
-    model: TimeClassifier, dataset: TimeClfDataset, test_idx: list[int]
-) -> ClfMetrics:
-    hits = {p: 0 for p in PERIODS}
-    counts = {p: 0 for p in PERIODS}
+def _evaluate(model: TimeClassifier, examples: list[tuple]) -> ClfMetrics:
+    """Metrics over test examples given as (ids, label) with label 1 for the
+    second period."""
+    hits = [0, 0]
+    counts = [0, 0]
     loss_sum = 0.0
-    for i in test_idx:
-        tokens, label = dataset.examples[i]
-        if not tokens:
+    for ids, label in examples:
+        if not len(ids):
             continue
-        p = model.predict_proba(tokens)
-        loss_sum += _bce(p, 1.0 if label == T2 else 0.0)
-        predicted = T2 if p > 0.5 else PERIODS[0]
+        p = float(_sigmoid(_forward(model, ids, model.embeddings[ids])[-1]))
+        loss_sum += _bce(p, float(label))
         counts[label] += 1
-        if predicted == label:
-            hits[label] += 1
-    total = sum(counts.values())
+        hits[label] += int(p > 0.5) == label
+    total = sum(counts)
     if total == 0:
         raise DatasetError("test split has no usable examples")
-    per_label = {
-        p: (hits[p] / counts[p]) if counts[p] else 0.0 for p in PERIODS
-    }
-    accuracy = sum(hits.values()) / total
     return ClfMetrics(
-        accuracy=accuracy,
-        per_label_accuracy=per_label,
-        example_counts=counts,
+        accuracy=sum(hits) / total,
+        per_label_accuracy={
+            p: (h / n) if n else 0.0 for p, h, n in zip(PERIODS, hits, counts)
+        },
+        example_counts=dict(zip(PERIODS, counts)),
         test_loss=loss_sum / total,
     )
 
@@ -333,28 +337,26 @@ def extract_uses(
     from the corpus yields an empty UseSet; downstream policy decides what to
     do with it.
     """
-    wanted = set(targets)
-    separator = np.full(model.radius, -1, dtype=np.int64)
-    pieces: list[np.ndarray] = []
-    positions: dict[str, list[int]] = {w: [] for w in targets}
-    indices: dict[str, list[int]] = {w: [] for w in targets}
-    start = 0
-    for si, sentence in enumerate(corpus.sentences):
-        if wanted.isdisjoint(sentence):
-            continue
-        for pos, token in enumerate(sentence):
-            if token in wanted:
-                positions[token].append(start + pos)
-                indices[token].append(si)
-        pieces += [model.token_ids(sentence), separator]
-        start += len(sentence) + len(separator)
-    ids = np.concatenate(pieces) if pieces else separator
+    enc = corpus.encoded
+    # The corpus's ids with `radius` separators (-1) after each sentence, so
+    # that no window reaches into the next one. Sentence i starts at
+    # starts[i]; a table's last entry, which -1 selects, is its separator value.
+    starts = enc.offsets + model.radius * np.arange(len(enc.offsets))
+    gaps = np.repeat(starts[:-1] - enc.offsets[:-1], np.diff(enc.offsets))
+    padded = np.full(starts[-1], -1, dtype=np.int64)
+    padded[np.arange(len(enc.ids)) + gaps] = enc.ids
+    code = {w: k for k, w in enumerate(targets)}
+    target_of = np.array([code.get(w, -1) for w in enc.words] + [-1])[padded]
+    ids = np.append(model.token_ids(enc.words), -1)[padded]
+    hits = np.flatnonzero(target_of >= 0)
+    sentences = np.searchsorted(starts, hits, side="right") - 1
+    mine = {w: target_of[hits] == code[w] for w in targets}
     return [
         UseSet(
             word=w,
             period=corpus.period,
-            vectors=_contextual(model, ids, np.array(positions[w], dtype=np.int64)),
-            sentence_indices=indices[w],
+            vectors=_contextual(model, ids, hits[mine[w]]),
+            sentence_indices=sentences[mine[w]].tolist(),
         )
         for w in targets
     ]

@@ -3,13 +3,20 @@ balanced time-classification dataset.
 
 Corpora are plain UTF-8 text, one pre-lemmatized sentence per line, tokens
 separated by whitespace. Tokenization here is whitespace splitting only.
+
+Besides its token lists, a corpus has an integer form (`Encoded`), built once
+from them: one int32 id array over all sentences, the sentence offsets into
+it, and the corpus's own word list. Counting, masking, thresholding, SGNS
+pairs and use extraction read that form through lookup tables indexed by id.
 """
 
 from __future__ import annotations
 
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +44,32 @@ def _check_period(period: str) -> str:
     return period
 
 
+@dataclass(frozen=True)
+class Encoded:
+    """Sentences as ids: sentence i is ids[offsets[i]:offsets[i + 1]], and id
+    j stands for words[j]. `encode` lists each distinct token once, in order
+    of first occurrence; other builders may list words that do not occur."""
+
+    ids: np.ndarray  # int32
+    offsets: np.ndarray  # int64, one more than there are sentences
+    words: list[str]
+
+    def counts(self) -> np.ndarray:
+        """Occurrences of each word, indexed by id."""
+        return np.bincount(self.ids, minlength=len(self.words))
+
+
+def encode(sentences: list[list[str]]) -> Encoded:
+    offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
+    np.cumsum(np.fromiter(map(len, sentences), dtype=np.int64), out=offsets[1:])
+    # Two passes over the sentences, so no list of every token is built.
+    words = list(dict.fromkeys(chain.from_iterable(sentences)))
+    index = {w: i for i, w in enumerate(words)}
+    tokens = chain.from_iterable(sentences)
+    ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=offsets[-1])
+    return Encoded(ids, offsets, words)
+
+
 @dataclass
 class Corpus:
     """An ordered collection of tokenized sentences from one time period."""
@@ -47,16 +80,18 @@ class Corpus:
     def __post_init__(self):
         _check_period(self.period)
 
+    @cached_property
+    def encoded(self) -> Encoded:
+        """The integer form of `sentences`, built on first use; a corpus is
+        not modified after that."""
+        return encode(self.sentences)
+
     @property
     def sentence_count(self) -> int:
         return len(self.sentences)
 
-    def iter_tokens(self):
-        for sentence in self.sentences:
-            yield from sentence
-
     def token_set(self) -> set[str]:
-        return set(self.iter_tokens())
+        return set(self.encoded.words)
 
 
 def load_corpus(path: str | Path, period: str) -> Corpus:
@@ -73,10 +108,13 @@ def load_corpus(path: str | Path, period: str) -> Corpus:
             if tokens:
                 # Interning keeps repeated tokens from duplicating storage
                 # at corpus scale.
-                sentences.append([sys.intern(t) for t in tokens])
+                sentences.append(list(map(sys.intern, tokens)))
     if not sentences:
         raise EmptyCorpusError(f"no non-empty sentences in {path}")
-    return Corpus(sentences=sentences, period=period)
+    corpus = Corpus(sentences=sentences, period=period)
+    # Encoded here, so that every stage (and a forked helper) shares it.
+    corpus.encoded
+    return corpus
 
 
 def write_corpus(corpus: Corpus, path: str | Path) -> None:
@@ -127,9 +165,11 @@ class Vocabulary:
 def build_vocabulary(corpus_t1: Corpus, corpus_t2: Corpus) -> Vocabulary:
     """Count word frequencies over both corpora; ids are dense and ordered by
     descending total count (ties broken alphabetically)."""
-    c1 = Counter(corpus_t1.iter_tokens())
-    c2 = Counter(corpus_t2.iter_tokens())
-    words = sorted(set(c1) | set(c2), key=lambda w: (-(c1[w] + c2[w]), w))
+    c1, c2 = (
+        Counter(dict(zip(c.encoded.words, c.encoded.counts().tolist())))
+        for c in (corpus_t1, corpus_t2)
+    )
+    words = sorted(c1.keys() | c2.keys(), key=lambda w: (-(c1[w] + c2[w]), w))
     word_ids = {w: i for i, w in enumerate(words)}
     count_t1 = np.array([c1[w] for w in words], dtype=np.int64)
     count_t2 = np.array([c2[w] for w in words], dtype=np.int64)
@@ -162,13 +202,14 @@ def apply_threshold(
     if threshold == 0:
         return corpus
     exempt = set(targets)
-    kept: list[list[str]] = []
-    for sentence in corpus.sentences:
-        filtered = [
-            t for t in sentence if t in exempt or vocab.total_count(t) >= threshold
-        ]
-        if filtered:
-            kept.append(filtered)
+    enc = corpus.encoded
+    keep = np.array(
+        [w in exempt or vocab.total_count(w) >= threshold for w in enc.words], dtype=bool
+    )[enc.ids]
+    tokens = list(map(enc.words.__getitem__, enc.ids[keep].tolist()))
+    # Sentence i keeps tokens[bounds[i]:bounds[i + 1]].
+    bounds = np.r_[0, np.cumsum(keep)][enc.offsets].tolist()
+    kept = [tokens[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
     return Corpus(sentences=kept, period=corpus.period)
 
 
@@ -192,16 +233,22 @@ def choose_mask_token(
 
 @dataclass
 class TimeClfDataset:
-    """Balanced sentence-classification examples labeled with their period."""
+    """Balanced sentence-classification examples labeled with their period.
+
+    `encoded` holds the examples' tokens as ids, in example order; it is
+    built from `examples` unless the builder supplies it."""
 
     examples: list[tuple[list[str], str]]
     splits: list[str]  # TRAIN or TEST, parallel to examples
     masked: bool
     mask_token: str
+    encoded: Encoded | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.examples) != len(self.splits):
             raise ValueError("examples and splits must have equal length")
+        if self.encoded is None:
+            self.encoded = encode([tokens for tokens, _ in self.examples])
 
     def indices(self, split: str) -> list[int]:
         return [i for i, s in enumerate(self.splits) if s == split]
@@ -228,50 +275,62 @@ def build_clf_dataset(
     and, when `masked` is set, every token occurring in exactly one corpus
     is replaced by the mask token before splitting.
     """
+    corpora = (corpus_t1, corpus_t2)
     if corpus_t1.sentence_count == 0 or corpus_t2.sentence_count == 0:
         raise EmptyCorpusError("both corpora must be non-empty")
     rng = np.random.default_rng(seed)
-
-    sents1 = corpus_t1.sentences
-    sents2 = corpus_t2.sentences
+    unique: set[str] = set()
     if masked:
         if mask_token is None:
             mask_token = choose_mask_token(corpus_t1, corpus_t2)
         unique = corpus_unique_tokens(corpus_t1, corpus_t2)
-        sents1 = [[mask_token if t in unique else t for t in s] for s in sents1]
-        sents2 = [[mask_token if t in unique else t for t in s] for s in sents2]
     elif mask_token is None:
         mask_token = DEFAULT_MASK_TOKEN
 
-    n = min(len(sents1), len(sents2))
-
-    def _downsample(sentences: list[list[str]]) -> list[list[str]]:
-        if len(sentences) == n:
-            return list(sentences)
-        idx = rng.choice(len(sentences), size=n, replace=False)
-        idx.sort()
-        return [sentences[i] for i in idx]
-
-    kept1 = _downsample(sents1)
-    kept2 = _downsample(sents2)
-
-    examples = [(s, T1) for s in kept1] + [(s, T2) for s in kept2]
-
+    # Sentence g < n1 of both corpora together is corpus_t1's sentence g.
+    n1 = corpus_t1.sentence_count
+    n = min(n1, corpus_t2.sentence_count)
+    picked = []
+    for first, corpus in zip((0, n1), corpora):
+        idx = np.arange(n)
+        if corpus.sentence_count != n:
+            idx = np.sort(rng.choice(corpus.sentence_count, size=n, replace=False))
+        picked.append(first + idx)
     # Stratified split: the same number of training examples per label keeps
     # both the split ratio and the per-split balance.
     n_train = round(0.8 * n)
-    splits = [TEST] * len(examples)
-    for offset in (0, n):
-        perm = rng.permutation(n)
-        for i in perm[:n_train]:
-            splits[offset + int(i)] = TRAIN
+    train = np.zeros(2 * n, dtype=bool)
+    for first in (0, n):
+        train[first + rng.permutation(n)[:n_train]] = True
+    order = rng.permutation(2 * n)
+    chosen = np.concatenate(picked)[order]
 
-    order = rng.permutation(len(examples))
-    examples = [examples[int(i)] for i in order]
-    splits = [splits[int(i)] for i in order]
+    # The chosen sentences' ids, over both corpora's joint (masked) words.
+    encs = [c.encoded for c in corpora]
+    own = [[mask_token if w in unique else w for w in e.words] for e in encs]
+    words = list(dict.fromkeys(own[0] + own[1]))
+    index = {w: i for i, w in enumerate(words)}
+    tables = [np.array([index[w] for w in o], dtype=np.int32) for o in own]
+    ids = np.concatenate([table[e.ids] for table, e in zip(tables, encs)])
+    starts = np.r_[encs[0].offsets[:-1], encs[1].offsets[:-1] + len(encs[0].ids)]
+    sizes = np.diff(np.r_[starts, len(ids)])[chosen]
+    offsets = np.r_[0, np.cumsum(sizes)]
+    gather = np.repeat(starts[chosen] - offsets[:-1], sizes) + np.arange(offsets[-1])
+    encoded = Encoded(ids[gather], offsets, words)
 
+    sentences = corpus_t1.sentences + corpus_t2.sentences
+    examples = [(sentences[g], T1 if g < n1 else T2) for g in chosen.tolist()]
+    if unique:  # only the examples holding a masked token are copied
+        hits = np.flatnonzero(encoded.ids == index[mask_token])
+        for i in np.unique(np.searchsorted(offsets, hits, side="right") - 1).tolist():
+            tokens, label = examples[i]
+            examples[i] = ([mask_token if t in unique else t for t in tokens], label)
     dataset = TimeClfDataset(
-        examples=examples, splits=splits, masked=masked, mask_token=mask_token
+        examples=examples,
+        splits=[TRAIN if t else TEST for t in train[order].tolist()],
+        masked=masked,
+        mask_token=mask_token,
+        encoded=encoded,
     )
     _check_balance(dataset)
     return dataset
@@ -291,20 +350,6 @@ def write_dataset_tsv(dataset: TimeClfDataset, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for (tokens, label), split in zip(dataset.examples, dataset.splits):
             fh.write(f"{label}\t{split}\t{' '.join(tokens)}\n")
-
-
-def read_dataset_tsv(path: str | Path, masked: bool, mask_token: str) -> TimeClfDataset:
-    """Inverse of write_dataset_tsv; mask metadata is not stored in the file."""
-    examples: list[tuple[list[str], str]] = []
-    splits: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            label, split, sentence = line.rstrip("\n").split("\t")
-            examples.append((sentence.split(), label))
-            splits.append(split)
-    return TimeClfDataset(
-        examples=examples, splits=splits, masked=masked, mask_token=mask_token
-    )
 
 
 def parse_rows(

@@ -5,12 +5,15 @@ Every stage writes its artifacts under ``output_dir/<stage>/<key>/`` where
 the key is a content hash over the stage's inputs (source file hashes,
 upstream stage keys, the relevant configuration values and the derived
 seed). A stage directory counts as valid only once its ``.complete``
-sentinel exists, so interrupted runs are rebuilt. Stages always read their
-inputs back from the upstream artifact files, never from in-process state;
-a cached and a freshly built upstream therefore feed downstream stages
-identically. The vectors handed between stages are stored as `.npy` arrays,
-which round-trip exactly; the text vector and use-set formats serve only
-exchange with other tools.
+sentinel exists, so interrupted runs are rebuilt. Stages read their inputs
+back from the upstream artifact files, except for two in-memory memos of a
+run: the raw corpora, parsed once, and the classifier's dataset, which
+`clf-model` takes from the build that `clf-dataset` writes (rebuilding it
+from the corpora if `clf-dataset` is cached). Both depend only on the input
+files and seed, so a cached and a freshly built upstream feed downstream
+stages identically. The vectors handed between stages are stored as `.npy`
+arrays, which round-trip exactly; the text vector and use-set formats serve
+only exchange with other tools.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .corpus import (
     T1,
     T2,
     Corpus,
+    TimeClfDataset,
     apply_threshold,
     build_clf_dataset,
     build_vocabulary,
@@ -256,7 +260,8 @@ class Pipeline:
         self.cfg = config
         self.stages: dict[str, StageResult] = {}
         self._file_hashes: dict[str, str] = {}
-        self._corpora: tuple[Corpus, Corpus] | None = None
+        # The raw corpora and the classifier's dataset, once built.
+        self._memo: dict = {}
 
     # -- plumbing ---------------------------------------------------------
 
@@ -271,10 +276,21 @@ class Pipeline:
     def _raw_corpora(self) -> tuple[Corpus, Corpus]:
         """Both input corpora, parsed once and shared by the stages that read
         them (none modifies them) until `run_all` releases them."""
-        if self._corpora is None:
+        if "corpora" not in self._memo:
             cfg = self.cfg
-            self._corpora = load_corpus(cfg.corpus_t1, T1), load_corpus(cfg.corpus_t2, T2)
-        return self._corpora
+            corpora = load_corpus(cfg.corpus_t1, T1), load_corpus(cfg.corpus_t2, T2)
+            self._memo["corpora"] = corpora
+        return self._memo["corpora"]
+
+    def _clf_dataset(self) -> TimeClfDataset:
+        """The classifier's dataset, built once from the raw corpora."""
+        if "dataset" not in self._memo:
+            self._memo["dataset"] = build_clf_dataset(
+                *self._raw_corpora(),
+                masked=self.cfg.masked,
+                seed=derive_seed(self.cfg.seed, "clf-dataset"),
+            )
+        return self._memo["dataset"]
 
     def _ensure(self, name: str, payload: dict, build) -> StageResult:
         if name in self.stages:
@@ -383,7 +399,7 @@ class Pipeline:
             # On one core a helper would only compete with this process.
             if beside is not None:
                 beside()
-            self._corpora = None
+            self._memo.clear()
             for job in jobs:
                 _train_space(*job)
 
@@ -420,18 +436,16 @@ class Pipeline:
 
     def build_clf(self) -> StageResult:
         cfg = self.cfg
-        seed = derive_seed(cfg.seed, "clf-dataset")
         payload = {
             "stage": "clf-dataset",
             "corpus_t1": self._hash(cfg.corpus_t1),
             "corpus_t2": self._hash(cfg.corpus_t2),
             "masked": cfg.masked,
-            "seed": seed,
+            "seed": derive_seed(cfg.seed, "clf-dataset"),
         }
 
         def build(directory: Path):
-            c1, c2 = self._raw_corpora()
-            dataset = build_clf_dataset(c1, c2, masked=cfg.masked, seed=seed)
+            dataset = self._clf_dataset()
             write_dataset_tsv(dataset, directory / "dataset.tsv")
             meta = {"masked": dataset.masked, "mask_token": dataset.mask_token}
             (directory / "meta.json").write_text(
@@ -454,18 +468,11 @@ class Pipeline:
         }
 
         def build(directory: Path):
-            from .corpus import read_dataset_tsv
-
-            meta = json.loads((dataset_stage.path / "meta.json").read_text())
-            dataset = read_dataset_tsv(
-                dataset_stage.path / "dataset.tsv",
-                masked=meta["masked"],
-                mask_token=meta["mask_token"],
-            )
+            dataset = self._clf_dataset()
             # The full joint vocabulary (plus the mask token) means later
             # extraction over the raw corpora never meets OOV tokens.
             c1, c2 = self._raw_corpora()
-            vocabulary = build_vocabulary(c1, c2).words + [meta["mask_token"]]
+            vocabulary = build_vocabulary(c1, c2).words + [dataset.mask_token]
             model, metrics = train_time_classifier(
                 dataset,
                 dataclasses.replace(cfg.encoder, seed=seed),
@@ -515,7 +522,7 @@ class Pipeline:
         # raw corpora are not read after it.
         self.train_static(beside=self.extract)
         uses_stage = self.extract()
-        self._corpora = None
+        self._memo.clear()
         align_stage = self.align()
         seed = derive_seed(cfg.seed, "mpe")
         payload = {
@@ -758,7 +765,7 @@ def _train_with_helper(pipeline: Pipeline, jobs: list, beside) -> list[Exception
     helper = context.Process(target=_helper, args=(pipeline, beside, queue, report))
     helper.start()
     report.close()
-    pipeline._corpora = None
+    pipeline._memo.clear()
     try:
         trained = 0
         while (job := queue.get()) is not None:
@@ -800,7 +807,7 @@ def _helper(pipeline: Pipeline, beside, queue, report) -> None:
         else:
             new = {k: v for k, v in pipeline.stages.items() if k not in built}
             report.send(("stages", new))
-        pipeline._corpora = None
+        pipeline._memo.clear()
     while (job := queue.get()) is not None:
         try:
             _train_space(*job)

@@ -8,11 +8,14 @@ small floor, input vectors initialized uniformly in [-0.5/d, 0.5/d] and
 output vectors at zero. Updates are applied in fixed-size chunks of (center,
 context) pairs; the procedure is deterministic given the seed.
 
-Each epoch's pairs are built as whole arrays over the concatenated sentences:
-one mask column per window offset keeps a pair when both positions lie in the
-same sentence and the offset is within the center's sampled span. A chunk's
-updates are summed per row in pair order (context words before negatives)
-and then added to the matrices.
+Training reads the corpus in its flat form (`Corpus.encoded`): one id array
+over all sentences and the sentence offsets into it, renumbered so that id 0
+is the most frequent word. Each epoch's pairs are built as whole arrays over
+it: one mask column per window offset keeps a pair when both positions lie
+in the same sentence and the offset is within the center's sampled span;
+without subsampling, one draw gives every token's span. A chunk's updates
+are summed per row in pair order (context words before negatives) and then
+added to the matrices.
 
 One function, `_chunk_update`, computes the loss and the gradients: training
 calls it once per chunk, and `sgns_step`, which the gradient checks test, is
@@ -21,7 +24,6 @@ the same function on a batch of one pair.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -155,53 +157,59 @@ def sgns_step(
     return loss, grads[0], grads[1], grads[2:]
 
 
-def _corpus_ids(corpus: Corpus) -> tuple[list[np.ndarray], list[str], np.ndarray]:
-    counts = Counter(corpus.iter_tokens())
-    words = sorted(counts, key=lambda w: (-counts[w], w))
-    word_ids = {w: i for i, w in enumerate(words)}
-    encoded = [
-        np.array([word_ids[t] for t in sentence], dtype=np.int64)
-        for sentence in corpus.sentences
-    ]
-    freq = np.array([counts[w] for w in words], dtype=np.float64)
-    return encoded, words, freq
+def _corpus_ids(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, list[str], np.ndarray]:
+    """The corpus's flat ids renumbered by descending count (ties in
+    alphabetical order), its sentence offsets, its words in id order and
+    their counts."""
+    enc = corpus.encoded
+    counts = enc.counts().tolist()
+    order = sorted(range(len(counts)), key=lambda i: (-counts[i], enc.words[i]))
+    renumber = np.empty(len(order), dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    words = [enc.words[i] for i in order]
+    return renumber[enc.ids], enc.offsets, words, np.array(counts, dtype=float)[order]
 
 
 def _epoch_pairs(
-    encoded: list[np.ndarray],
-    window: int,
-    rng: np.random.Generator,
-    keep_prob: np.ndarray | None,
+    ids: np.ndarray, offsets: np.ndarray, window: int, rng, keep_prob
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sample dynamic windows over every sentence and emit (center, context)
-    id pairs for one epoch, ordered by center position, then context
-    position."""
-    kept: list[np.ndarray] = []
-    spans: list[np.ndarray] = []
-    for ids in encoded:
-        if keep_prob is not None:
-            ids = ids[rng.random(len(ids)) < keep_prob[ids]]
-        if len(ids) < 2:
-            continue
-        kept.append(ids)
-        spans.append(rng.integers(1, window + 1, size=len(ids)))
-    if not kept:
+    """Sample dynamic windows over every sentence of the flat `ids`
+    (sentence i is ids[offsets[i]:offsets[i + 1]]) and emit (center,
+    context) id pairs for one epoch, ordered by center position, then
+    context position."""
+    lengths = np.diff(offsets)
+    if keep_prob is None:
+        # Sentences of fewer than two tokens draw no span. One draw for all
+        # spans yields what one draw per sentence would: a bounded integer
+        # draw takes a buffered 32-bit half of the stream, so a call that
+        # ends on a half leaves the other half to the next call.
+        long = lengths >= 2
+        ids, lengths = ids[np.repeat(long, lengths)], lengths[long]
+        span = rng.integers(1, window + 1, size=len(ids))
+    else:
+        # Each sentence draws its keep mask, then its spans, in turn.
+        kept, spans = [ids[:0]], [np.empty(0, dtype=np.int64)]
+        for sentence in np.split(ids, offsets[1:-1]):
+            sentence = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
+            if len(sentence) >= 2:
+                kept.append(sentence)
+                spans.append(rng.integers(1, window + 1, size=len(sentence)))
+        ids, span = np.concatenate(kept), np.concatenate(spans)
+        lengths = np.array([len(k) for k in kept[1:]], dtype=np.int64)
+    if not len(ids):
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    ids = np.concatenate(kept)
-    span = np.concatenate(spans)
-    lengths = np.array([len(k) for k in kept])
     first = np.repeat(np.cumsum(lengths) - lengths, lengths)
     end = first + np.repeat(lengths, lengths)
     # One column per offset, in ascending order, so the row-major mask keeps
     # each center's contexts in corpus order. No pair spans more than the
     # longest sentence, which bounds the mask for any window.
     reach = min(window, int(lengths.max()) - 1)
-    offsets = np.r_[-reach:0, 1 : reach + 1]
-    ctx = np.arange(len(ids))[:, None] + offsets
+    shifts = np.r_[-reach:0, 1 : reach + 1]
+    ctx = np.arange(len(ids))[:, None] + shifts
     keep = (
         (ctx >= first[:, None])
         & (ctx < end[:, None])
-        & (span[:, None] >= np.abs(offsets))
+        & (span[:, None] >= np.abs(shifts))
     )
     return ids[np.nonzero(keep)[0]], ids[ctx[keep]]
 
@@ -226,7 +234,7 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     """Train one embedding space on one corpus."""
     if corpus.sentence_count == 0:
         raise EmptyCorpusError("cannot train on an empty corpus")
-    encoded, words, freq = _corpus_ids(corpus)
+    ids, offsets, words, freq = _corpus_ids(corpus)
     n_words = len(words)
     d = config.dimension
     rng = np.random.default_rng(config.seed)
@@ -255,7 +263,7 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     losses: list[float] = []
     step = 0
     for epoch in range(config.epochs):
-        centers, contexts = _epoch_pairs(encoded, config.window, rng, keep_prob)
+        centers, contexts = _epoch_pairs(ids, offsets, config.window, rng, keep_prob)
         n_pairs = len(centers)
         if n_pairs == 0:
             losses.append(0.0)

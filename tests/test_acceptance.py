@@ -245,6 +245,7 @@ def test_classifier_sanity():
     )
 
 
+@pytest.mark.slow
 def test_end_to_end_synthetic_recovery(bench_files, tmp_path):
     start = time.time()
     bench_dir, paths, bench = bench_files
@@ -304,6 +305,7 @@ def test_ensemble_extremes_on_fuzzed_rankings():
     report("ensemble extremes reproduce input rank order (100 fuzzed pairs)", ok)
 
 
+@pytest.mark.slow
 def test_deterministic_reruns_byte_identical(bench_files, tmp_path):
     start = time.time()
     bench_dir, _, _ = bench_files

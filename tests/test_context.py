@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 
 import numpy as np
@@ -184,18 +185,31 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_embedding_update_matches_add_at_bit_for_bit(self, order):
-        # A step adds to the rows in place when no token repeats and through
-        # np.add.at when one does; both must give np.add.at's bits.
-        for ids in ([3, 1, 7, 0], [3, 1, 3, 7, 3], [5], [2, 2]):
-            ids = np.array(ids)
-            model = small_model(seed=len(ids))
-            model.embeddings = np.asarray(model.embeddings * 1e3, order=order)
-            _, grads = classifier_loss_and_grads(model, ids, 1)
-            want = model.embeddings.copy(order=order)
-            np.add.at(want, ids, -0.2 * grads["embeddings"])
-            _sgd_update(model, ids, 1, 0.2, step=1)
-            assert model.embeddings.flags.f_contiguous == (order == "F")
-            assert model.embeddings.tobytes(order="A") == want.tobytes(order="A")
+        # A step writes each row's pre-step value plus its first delta, then
+        # adds each repeat's delta in order; it must give np.add.at's bits.
+        for ids in (
+            [3, 1, 7, 0],
+            [3, 1, 3, 7, 3],  # repeated 3 times, in the first and last position
+            [5],
+            [2, 2],
+            [6, 2, 9, 2, 6],  # repeats in the first and last position
+            [1, 5, 1, 5, 1, 8, 1],  # one token 4 times, another twice
+            [4, 4, 4, 4, 4],  # only repeats
+            [7, 3, 7, 3, 3, 7],  # only repeats, of two tokens
+        ):
+            # Large rows round each addition; at unit scale, repeats' deltas
+            # added in another order give other bits. Of the two labels, at
+            # least one leaves the logit unsaturated, so the deltas are not 0.
+            for scale, label in itertools.product((1.0, 1e3), (0, 1)):
+                ids = np.array(ids)
+                model = small_model(seed=len(ids))
+                model.embeddings = np.asarray(model.embeddings * scale, order=order)
+                _, grads = classifier_loss_and_grads(model, ids, label)
+                want = model.embeddings.copy(order=order)
+                np.add.at(want, ids, -0.2 * grads["embeddings"])
+                _sgd_update(model, ids, label, 0.2, step=1)
+                assert model.embeddings.flags.f_contiguous == (order == "F")
+                assert model.embeddings.tobytes(order="A") == want.tobytes(order="A")
 
     @pytest.mark.parametrize("radius", [0, 2, 5])
     def test_pooled_logit_matches_mix_oracle(self, radius):
@@ -225,6 +239,29 @@ class TestTraining:
         for name in ("embeddings", "offset_weights", "head_w"):
             assert np.abs(getattr(model, name) - getattr(reference, name)).max() <= 1e-12
         assert abs(model.head_b - reference.head_b) <= 1e-12
+
+    def test_training_never_calls_add_at(self, rng, monkeypatch):
+        import lscd.context
+
+        # 8 draws from 40 words: many sentences repeat a token.
+        c1, c2 = marker_corpora(rng, n=200)
+        dataset = build_clf_dataset(c1, c2, masked=False, seed=2)
+        assert any(len(set(tokens)) < len(tokens) for tokens, _ in dataset.examples)
+        cfg = EncoderConfig(dimension=8, context_radius=2, seed=3)
+        want, _ = train_time_classifier(dataset, cfg)
+
+        def add_at(*args, **kwargs):
+            raise AssertionError("np.add.at called while training")
+
+        class NumpyWithoutAddAt:
+            add = type("add", (), {"at": staticmethod(add_at)})
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(lscd.context, "np", NumpyWithoutAddAt())
+        got, _ = train_time_classifier(dataset, cfg)
+        assert got.embeddings.tobytes() == want.embeddings.tobytes()
 
     def test_sentences_shorter_than_radius_train(self):
         # Regression: every length 1..2r+2 at the default radius 5.

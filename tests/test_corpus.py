@@ -19,7 +19,6 @@ from lscd.corpus import (
     frequency_threshold,
     load_corpus,
     load_targets,
-    read_dataset_tsv,
     write_corpus,
     write_dataset_tsv,
 )
@@ -152,8 +151,7 @@ class TestApplyThreshold:
         vocab = build_vocabulary(corpus, random_corpus(rng, 5, vocab_size=15, period=T2))
         smaller = apply_threshold(corpus, vocab, threshold + 1)
         larger = apply_threshold(corpus, vocab, threshold)
-        vocab_of = lambda c: set(c.iter_tokens())
-        assert vocab_of(smaller) <= vocab_of(larger)
+        assert smaller.token_set() <= larger.token_set()
 
 
 class TestVocabulary:
@@ -245,6 +243,11 @@ class TestBuildClfDataset:
         ds = build_clf_dataset(c1, c2, masked=True, seed=seed)
         observed = {t for tokens, _ in ds.examples for t in tokens}
         assert not (observed & unique)
+        # The dataset's ids spell its (masked) examples.
+        enc, bounds = ds.encoded, ds.encoded.offsets
+        assert [
+            [enc.words[i] for i in enc.ids[a:b]] for a, b in zip(bounds[:-1], bounds[1:])
+        ] == [tokens for tokens, _ in ds.examples]
 
     def test_mask_token_avoids_collision(self):
         c1 = Corpus([["[MASK]", "a"]], T1)
@@ -259,12 +262,20 @@ class TestBuildClfDataset:
         with pytest.raises(EmptyCorpusError):
             build_clf_dataset(c1, c2, masked=False, seed=0)
 
-    def test_tsv_roundtrip(self, tmp_path, rng):
+    def test_tsv_format(self, tmp_path, rng):
         c1 = random_corpus(rng, 20, period=T1)
         c2 = random_corpus(rng, 30, period=T2)
+        c1.sentences[3].append("unique_one")
         ds = build_clf_dataset(c1, c2, masked=True, seed=2)
         path = tmp_path / "dataset.tsv"
         write_dataset_tsv(ds, path)
-        again = read_dataset_tsv(path, masked=ds.masked, mask_token=ds.mask_token)
-        assert again.examples == ds.examples
-        assert again.splits == ds.splits
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines.pop() == ""
+        assert lines == [
+            f"{label}\t{split}\t{' '.join(tokens)}"
+            for (tokens, label), split in zip(ds.examples, ds.splits)
+        ]
+        assert {T1, T2} == {line.split("\t")[0] for line in lines}
+        assert {TRAIN, TEST} == {line.split("\t")[1] for line in lines}
+        tokens = [t for line in lines for t in line.split("\t")[2].split()]
+        assert ds.mask_token in tokens and "unique_one" not in tokens

@@ -334,6 +334,19 @@ class TestPipelineRun:
         assert not pipeline.stages["ensemble"].cached
         assert (stage_dir / ".complete").is_file()
 
+    def test_classifier_over_cached_dataset_unchanged(self, run_dir):
+        # With `clf-dataset` cached, `clf-model` builds the dataset again
+        # from the corpora instead of reading dataset.tsv.
+        _, config_path, _, first = run_dir
+        stage_dir = first.stages["clf-model"].path
+        before = {p.name: p.read_bytes() for p in stage_dir.iterdir()}
+        (stage_dir / ".complete").unlink()
+        pipeline = Pipeline(load_config(config_path))
+        pipeline.train_clf()
+        assert pipeline.stages["clf-dataset"].cached
+        assert not pipeline.stages["clf-model"].cached
+        assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
+
 
 class TestStaticStage:
     def test_matches_sequential_training(self, tmp_path, bench_dir):
@@ -574,7 +587,7 @@ class TestCorpusMemo:
             return extract_uses(model, corpus, targets)
 
         def checked_sgns(*args, **kwargs):
-            assert pipeline._corpora is None  # never held while SGNS trains
+            assert not pipeline._memo  # never held while SGNS trains
             return train_sgns(*args, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "load_corpus", counting_load)
@@ -593,7 +606,7 @@ class TestCorpusMemo:
         c1, c2 = loaded[raw[0]], loaded[raw[1]]
         extracted = list(map(int, extract_log.read_text().split()))
         assert extracted[0] == id(c1) and extracted[1] == id(c2)
-        assert pipeline._corpora is None
+        assert not pipeline._memo
         for corpus, (path, period) in zip((c1, c2), raw):
             fresh = load_corpus(path, period)
             assert corpus.period == fresh.period

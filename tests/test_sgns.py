@@ -121,7 +121,7 @@ class TestGradients:
 def mirror_train(corpus: Corpus, config: SgnsConfig) -> tuple[np.ndarray, np.ndarray]:
     """Reference trainer: identical RNG recipe, but per-pair sgns_step calls
     accumulated in plain Python instead of the vectorized chunk update."""
-    encoded, words, freq = _corpus_ids(corpus)
+    ids, offsets, words, freq = _corpus_ids(corpus)
     d = config.dimension
     rng = np.random.default_rng(config.seed)
     vec_in = (rng.random((len(words), d)) - 0.5) / d
@@ -130,7 +130,7 @@ def mirror_train(corpus: Corpus, config: SgnsConfig) -> tuple[np.ndarray, np.nda
     noise_cdf /= noise_cdf[-1]
     lr0 = config.initial_learning_rate
     for epoch in range(config.epochs):
-        centers, contexts = _epoch_pairs(encoded, config.window, rng, None)
+        centers, contexts = _epoch_pairs(ids, offsets, config.window, rng, None)
         n_pairs = len(centers)
         order = rng.permutation(n_pairs)
         centers = centers[order]
@@ -295,21 +295,33 @@ class TestEpochPairs:
     @pytest.mark.parametrize("subsample", [False, True])
     def test_matches_per_token_reference(self, window, subsample):
         rng = np.random.default_rng(100 + window)
-        for trial in range(20):
+        for trial in range(24):
             vocab = int(rng.integers(1, 15))
-            # Trial 0 has only sentences of length 0 and 1, so no pairs.
-            max_len = 2 if trial == 0 else 12
-            lengths = rng.integers(0, max_len, size=int(rng.integers(0, 25)))
+            if trial == 0:
+                # Only sentences of length 0 and 1, so no pairs.
+                lengths = rng.integers(0, 2, size=int(rng.integers(0, 25)))
+            elif trial < 4:
+                # Odd lengths with sentences of length 0 or 1 between them.
+                odd = 2 * rng.integers(1, 7, size=8) + 1
+                lengths = np.stack([odd, rng.integers(0, 2, size=8)], 1).ravel()
+            else:
+                lengths = rng.integers(0, 12, size=int(rng.integers(0, 25)))
             encoded = [rng.integers(0, vocab, size=n) for n in lengths]
+            ids = np.concatenate(encoded) if encoded else np.empty(0, dtype=np.int64)
+            offsets = np.r_[0, np.cumsum(lengths)]
             keep_prob = rng.random(vocab) if subsample else None
             got_rng = np.random.default_rng(trial)
             want_rng = np.random.default_rng(trial)
-            got = _epoch_pairs(encoded, window, got_rng, keep_prob)
+            got = _epoch_pairs(ids, offsets, window, got_rng, keep_prob)
             want = reference_epoch_pairs(encoded, window, want_rng, keep_prob)
             for g, w in zip(got, want):
                 assert g.dtype == np.int64
                 assert np.array_equal(g, w)
-            # Both consumed the same RNG draws.
+            # Both consumed the same RNG draws, the buffered 32-bit half
+            # that a bounded integer draw may leave included.
+            assert got_rng.integers(0, 1000, size=3).tolist() == (
+                want_rng.integers(0, 1000, size=3).tolist()
+            )
             assert got_rng.random() == want_rng.random()
 
 

@@ -13,7 +13,7 @@ import dataclasses
 import sys
 
 from . import benchmark
-from .errors import LscdError, StageError
+from .errors import LscdError
 from .pipeline import Pipeline, PipelineConfig, load_config
 
 _STAGE_COMMANDS = {
@@ -143,9 +143,6 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{name}: {path}")
             return 0
         return _run_stage(args.command, args)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (LscdError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

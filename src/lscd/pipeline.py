@@ -6,14 +6,14 @@ the key is a content hash over the stage's inputs (source file hashes,
 upstream stage keys, the relevant configuration values and the derived
 seed). A stage directory counts as valid only once its ``.complete``
 sentinel exists, so interrupted runs are rebuilt. Stages read their inputs
-back from the upstream artifact files, except for two in-memory memos of a
-run: the raw corpora, parsed once, and the classifier's dataset, which
-`clf-model` takes from the build that `clf-dataset` writes (rebuilding it
-from the corpora if `clf-dataset` is cached). Both depend only on the input
-files and seed, so a cached and a freshly built upstream feed downstream
-stages identically. The vectors handed between stages are stored as `.npy`
-arrays, which round-trip exactly; the text vector and use-set formats serve
-only exchange with other tools.
+back from the upstream artifact files, except for three in-memory memos of a
+run, each built once: the raw corpora, the SGNS corpora whose statistics
+`ingest` writes, and the classifier's dataset that `clf-dataset` writes. A
+stage whose upstream is cached builds the memo from the inputs, which with
+the configuration and seed fully determine it, so a cached and a freshly
+built upstream feed downstream stages identically. The vectors handed
+between stages are stored as `.npy` arrays, which round-trip exactly; the
+text vector and use-set formats serve only exchange with other tools.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .corpus import (
     frequency_threshold,
     load_corpus,
     load_targets,
-    write_corpus,
     write_dataset_tsv,
 )
 from .ensemble import (
@@ -114,8 +113,11 @@ class PipelineConfig:
             path = getattr(self, name)
             if path is not None and not Path(path).is_file():
                 raise FileNotFoundError(f"config path {name} = {path} does not exist")
-        if self.threshold not in ("auto", "none"):
-            int(self.threshold)  # raises ValueError if not an integer literal
+        if not (self.threshold in ("auto", "none") or str(self.threshold).isdecimal()):
+            raise ValueError(
+                "[corpus] threshold must be auto, none or an integer >= 0, "
+                f"got {self.threshold!r}"
+            )
         if self.theta is not None and not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta override must be in [0, 1]")
         if self.pair_budget is not None and self.pair_budget < 1:
@@ -260,7 +262,7 @@ class Pipeline:
         self.cfg = config
         self.stages: dict[str, StageResult] = {}
         self._file_hashes: dict[str, str] = {}
-        # The raw corpora and the classifier's dataset, once built.
+        # The run's in-memory corpora and dataset (see the module docstring).
         self._memo: dict = {}
 
     # -- plumbing ---------------------------------------------------------
@@ -275,12 +277,38 @@ class Pipeline:
 
     def _raw_corpora(self) -> tuple[Corpus, Corpus]:
         """Both input corpora, parsed once and shared by the stages that read
-        them (none modifies them) until `run_all` releases them."""
+        them (none modifies them) until the memo is cleared."""
         if "corpora" not in self._memo:
             cfg = self.cfg
             corpora = load_corpus(cfg.corpus_t1, T1), load_corpus(cfg.corpus_t2, T2)
             self._memo["corpora"] = corpora
         return self._memo["corpora"]
+
+    def _ingested(self) -> tuple[tuple[Corpus, Corpus], dict]:
+        """The SGNS corpora (thresholded, if a threshold applies) and stats."""
+        if "ingested" not in self._memo:
+            cfg = self.cfg
+            c1, c2 = self._raw_corpora()
+            targets = load_targets(cfg.targets)
+            vocab = build_vocabulary(c1, c2)
+            total = c1.sentence_count + c2.sentence_count
+            threshold = cfg.threshold_for(total)
+            if threshold:
+                f1 = apply_threshold(c1, vocab, threshold, targets)
+                f2 = apply_threshold(c2, vocab, threshold, targets)
+            else:
+                f1, f2 = c1, c2
+            stats = {
+                "sentences_t1": c1.sentence_count,
+                "sentences_t2": c2.sentence_count,
+                "vocabulary_size": len(vocab),
+                "threshold": threshold,
+                "filtered_sentences_t1": f1.sentence_count,
+                "filtered_sentences_t2": f2.sentence_count,
+                "targets": len(targets),
+            }
+            self._memo["ingested"] = (f1, f2), stats
+        return self._memo["ingested"]
 
     def _clf_dataset(self) -> TimeClfDataset:
         """The classifier's dataset, built once from the raw corpora."""
@@ -318,8 +346,8 @@ class Pipeline:
     # -- stages -----------------------------------------------------------
 
     def ingest(self) -> StageResult:
-        """Load and validate both corpora, apply the frequency threshold for
-        the static branch, and record corpus statistics."""
+        """Record the statistics of both corpora and of the frequency
+        threshold applied to them for the static branch."""
         cfg = self.cfg
         payload = {
             "stage": "ingest",
@@ -330,27 +358,7 @@ class Pipeline:
         }
 
         def build(directory: Path):
-            c1, c2 = self._raw_corpora()
-            targets = load_targets(cfg.targets)
-            vocab = build_vocabulary(c1, c2)
-            total = c1.sentence_count + c2.sentence_count
-            threshold = cfg.threshold_for(total)
-            if threshold:
-                f1 = apply_threshold(c1, vocab, threshold, targets)
-                f2 = apply_threshold(c2, vocab, threshold, targets)
-            else:
-                f1, f2 = c1, c2
-            write_corpus(f1, directory / "corpus_t1.txt")
-            write_corpus(f2, directory / "corpus_t2.txt")
-            stats = {
-                "sentences_t1": c1.sentence_count,
-                "sentences_t2": c2.sentence_count,
-                "vocabulary_size": len(vocab),
-                "threshold": threshold,
-                "filtered_sentences_t1": f1.sentence_count,
-                "filtered_sentences_t2": f2.sentence_count,
-                "targets": len(targets),
-            }
+            _, stats = self._ingested()
             (directory / "stats.json").write_text(
                 json.dumps(stats, indent=2, sort_keys=True)
             )
@@ -364,7 +372,7 @@ class Pipeline:
         (`score` passes `extract`). If this stage must be built, `beside` is
         built with it: in a helper process forked for the stage while this
         one trains, or first, in this process, when only one core is usable.
-        No process holds the raw corpora while it trains SGNS.
+        While SGNS trains, a process keeps no dataset and only the SGNS corpora.
         """
         cfg = self.cfg
         ingest = self.ingest()
@@ -380,13 +388,8 @@ class Pipeline:
 
         def build(directory: Path):
             jobs = [
-                (
-                    ingest.path / f"corpus_{period}.txt",
-                    period,
-                    dataclasses.replace(cfg.sgns, seed=seeds[period]),
-                    directory,
-                )
-                for period in (T1, T2)
+                (c, dataclasses.replace(cfg.sgns, seed=seeds[c.period]), directory)
+                for c in self._ingested()[0]
             ]
             # Not every platform reports affinity; then count every CPU.
             if hasattr(os, "sched_getaffinity"):
@@ -681,8 +684,7 @@ class Pipeline:
             self.evaluate()
 
         run_sentinel = cfg.output_dir / RUN_SENTINEL
-        if run_sentinel.exists():
-            run_sentinel.unlink()
+        run_sentinel.unlink(missing_ok=True)
 
         answers = cfg.output_dir / ANSWER_DIR
         answers.mkdir(parents=True, exist_ok=True)
@@ -729,22 +731,20 @@ class Pipeline:
         }
 
 
-def _train_space(
-    corpus_path: Path, period: str, config: SgnsConfig, directory: Path
-) -> None:
-    """Train one period's SGNS space on its ingested corpus and save it."""
-    _save_space(train_sgns(load_corpus(corpus_path, period), config), directory, period)
+def _train_space(corpus: Corpus, config: SgnsConfig, directory: Path) -> None:
+    """Train one period's SGNS space and save it."""
+    _save_space(train_sgns(corpus, config), directory, corpus.period)
 
 
 # -- the helper process ------------------------------------------------------
 #
 # The static stage shares its SGNS jobs with one helper forked from the
-# calling process. Both take jobs from one queue that holds every job, then
-# one stop marker per process, so each job runs once, in whichever process
-# frees first, and neither waits on the other for work. Before it takes any,
-# the helper builds the contextual branch, if asked to, from the raw corpora
-# it inherited. It reports each piece of work on a pipe: the contextual
-# stages' results or error first, then one message per space it trained.
+# calling process; the helper inherits them, so no corpus is pickled. Both
+# take job indices from one queue that holds each index, then one stop
+# marker per process, so each job runs once, in whichever process frees
+# first. Before it takes any, the helper builds the contextual branch, if
+# asked to, from the raw corpora it inherited. It reports on a pipe: the
+# contextual stages' results or error first, then one message per space.
 
 
 def _train_with_helper(pipeline: Pipeline, jobs: list, beside) -> list[Exception]:
@@ -759,17 +759,19 @@ def _train_with_helper(pipeline: Pipeline, jobs: list, beside) -> list[Exception
     # __main__ nor numpy, and hands the helper the parsed corpora.
     context = multiprocessing.get_context("fork")
     queue = context.SimpleQueue()
-    for job in jobs + [None, None]:  # one stop marker per process
-        queue.put(job)
+    for index in [*range(len(jobs)), None, None]:  # one stop marker per process
+        queue.put(index)
     reports, report = context.Pipe(duplex=False)
-    helper = context.Process(target=_helper, args=(pipeline, beside, queue, report))
+    helper = context.Process(
+        target=_helper, args=(pipeline, beside, jobs, queue, report)
+    )
     helper.start()
     report.close()
     pipeline._memo.clear()
     try:
         trained = 0
-        while (job := queue.get()) is not None:
-            _train_space(*job)
+        while (index := queue.get()) is not None:
+            _train_space(*jobs[index])
             trained += 1
         errors = []
         for _ in range(len(jobs) - trained + (beside is not None)):
@@ -797,7 +799,7 @@ def _train_with_helper(pipeline: Pipeline, jobs: list, beside) -> list[Exception
         queue.close()
 
 
-def _helper(pipeline: Pipeline, beside, queue, report) -> None:
+def _helper(pipeline: Pipeline, beside, jobs: list, queue, report) -> None:
     if beside is not None:
         built = set(pipeline.stages)
         try:
@@ -807,10 +809,10 @@ def _helper(pipeline: Pipeline, beside, queue, report) -> None:
         else:
             new = {k: v for k, v in pipeline.stages.items() if k not in built}
             report.send(("stages", new))
-        pipeline._memo.clear()
-    while (job := queue.get()) is not None:
+    pipeline._memo.clear()
+    while (index := queue.get()) is not None:
         try:
-            _train_space(*job)
+            _train_space(*jobs[index])
         except Exception as exc:
             report.send(("space", exc))
         else:

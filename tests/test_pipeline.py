@@ -8,6 +8,7 @@ import re
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,14 @@ import lscd
 from lscd.benchmark import generate_shift_benchmark, write_benchmark
 from lscd.cli import build_parser, main
 from lscd.context import export_uses
-from lscd.corpus import T1, T2, load_corpus
+from lscd.corpus import (
+    T1,
+    T2,
+    apply_threshold,
+    build_vocabulary,
+    load_corpus,
+    load_targets,
+)
 from lscd.errors import FormatError, StageError, TrainingDivergedError
 from lscd.pipeline import (
     Pipeline,
@@ -142,6 +150,20 @@ class TestConfig:
             load_config(path)
         with pytest.raises(ValueError, match="pair_budget"):
             load_config(write_config(tmp_path, bench_dir), overrides={"pair_budget": -3})
+
+    @pytest.mark.parametrize("value", ["-5", "AUTO", "1.5", ""])
+    def test_bad_threshold_rejected_naming_key_and_values(self, tmp_path, bench_dir, value):
+        path = write_config(tmp_path, bench_dir, extra=f"\n[corpus]\nthreshold = {value}\n")
+        message = re.escape("[corpus] threshold must be auto, none or an integer >= 0")
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        with pytest.raises(ValueError, match=message):
+            load_config(write_config(tmp_path, bench_dir), overrides={"threshold": value})
+
+    def test_integer_thresholds_accepted(self, tmp_path, bench_dir):
+        for value in ("0", "40"):
+            path = write_config(tmp_path, bench_dir, extra=f"\n[corpus]\nthreshold = {value}\n")
+            assert load_config(path).threshold_for(10**7) == int(value)
 
     def test_readme_config_blocks_load(self, tmp_path, monkeypatch):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
@@ -348,24 +370,54 @@ class TestPipelineRun:
         assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
 
 
+def assert_static_trained_on(static, config, corpora, tmp_path):
+    """The static stage's spaces are `train_sgns` on `corpora`, bit for bit."""
+    for corpus in corpora:
+        period = corpus.period
+        sgns = dataclasses.replace(
+            config.sgns, seed=derive_seed(config.seed, f"sgns-{period}")
+        )
+        space = train_sgns(corpus, sgns)
+        np.save(tmp_path / f"{period}.npy", space.vectors)
+        assert (static.path / f"{period}.npy").read_bytes() == (
+            tmp_path / f"{period}.npy"
+        ).read_bytes()
+        words = (static.path / f"{period}.words.txt").read_text(encoding="utf-8")
+        assert words.splitlines() == space.words
+
+
 class TestStaticStage:
     def test_matches_sequential_training(self, tmp_path, bench_dir):
         config = load_config(write_config(tmp_path, bench_dir))
         pipeline = Pipeline(config)
         static = pipeline.train_static()
+        corpora = [load_corpus(config.corpus_t1, T1), load_corpus(config.corpus_t2, T2)]
+        assert_static_trained_on(static, config, corpora, tmp_path)
+
+    def test_numeric_threshold_filters_what_sgns_trains_on(self, tmp_path, bench_dir):
+        threshold = 20
+        config = load_config(
+            write_config(tmp_path, bench_dir, f"\n[corpus]\nthreshold = {threshold}\n")
+        )
+        pipeline = Pipeline(config)
+        static = pipeline.train_static()
+        raw = [load_corpus(config.corpus_t1, T1), load_corpus(config.corpus_t2, T2)]
+        vocab = build_vocabulary(*raw)
+        targets = load_targets(config.targets)
+        filtered = [apply_threshold(c, vocab, threshold, targets) for c in raw]
+        kept = filtered[0].token_set() | filtered[1].token_set()
+        assert set(targets) <= kept < set(vocab.words)  # the threshold drops words
+        assert_static_trained_on(static, config, filtered, tmp_path)
+
         ingest = pipeline.stages["ingest"]
-        for period in (T1, T2):
-            corpus = load_corpus(ingest.path / f"corpus_{period}.txt", period)
-            sgns = dataclasses.replace(
-                config.sgns, seed=derive_seed(config.seed, f"sgns-{period}")
-            )
-            space = train_sgns(corpus, sgns)
-            np.save(tmp_path / f"{period}.npy", space.vectors)
-            assert (static.path / f"{period}.npy").read_bytes() == (
-                tmp_path / f"{period}.npy"
-            ).read_bytes()
-            words = (static.path / f"{period}.words.txt").read_text(encoding="utf-8")
-            assert words.splitlines() == space.words
+        stats = json.loads((ingest.path / "stats.json").read_text())
+        assert stats["threshold"] == threshold
+        assert stats["sentences_t1"] == raw[0].sentence_count
+        assert stats["sentences_t2"] == raw[1].sentence_count
+        assert stats["filtered_sentences_t1"] == filtered[0].sentence_count
+        assert stats["filtered_sentences_t2"] == filtered[1].sentence_count
+        # SGNS trains on the filtered corpora in memory; no copy is written.
+        assert sorted(p.name for p in ingest.path.iterdir()) == [".complete", "stats.json"]
 
     def test_one_core_trains_in_process(self, tmp_path, bench_dir, monkeypatch):
         import multiprocessing
@@ -565,52 +617,77 @@ class TestCorpusMemo:
     ):
         import lscd.pipeline as pipeline_module
 
-        loaded = {}
         load_corpus = pipeline_module.load_corpus
         extract_uses = pipeline_module.extract_uses
         train_sgns = pipeline_module.train_sgns
-        # The static stage's helper process extracts the uses and may train
-        # either space, so loads and extractions are logged to files that
-        # both processes append to; fork keeps each object's id().
-        log = tmp_path / "loads.log"
-        extract_log = tmp_path / "extracted.log"
+        build_clf_dataset = pipeline_module.build_clf_dataset
+        # With a helper, the static stage's helper process extracts the uses
+        # and may train either space, so loads, extractions and trainings are
+        # logged to files that both processes append to; fork keeps each
+        # object's id(). On one core, everything runs in this process.
+        for cores in (2, 1):
+            run_dir = tmp_path / f"cores{cores}"
+            run_dir.mkdir()
+            loaded = {}
+            datasets = []  # weak references to every dataset built
+            log = run_dir / "loads.log"
+            extract_log = run_dir / "extracted.log"
+            sgns_log = run_dir / "trained.log"
 
-        def counting_load(path, period):
-            with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{path}\t{period}\n")
-            loaded[str(path), period] = load_corpus(path, period)
-            return loaded[str(path), period]
+            def counting_load(path, period):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{path}\t{period}\n")
+                loaded[str(path), period] = load_corpus(path, period)
+                return loaded[str(path), period]
 
-        def recording_extract(model, corpus, targets):
-            with open(extract_log, "a", encoding="utf-8") as fh:
-                fh.write(f"{id(corpus)}\n")
-            return extract_uses(model, corpus, targets)
+            def recording_extract(model, corpus, targets):
+                with open(extract_log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{id(corpus)}\n")
+                return extract_uses(model, corpus, targets)
 
-        def checked_sgns(*args, **kwargs):
-            assert not pipeline._memo  # never held while SGNS trains
-            return train_sgns(*args, **kwargs)
+            def recording_dataset(*args, **kwargs):
+                dataset = build_clf_dataset(*args, **kwargs)
+                datasets.append(weakref.ref(dataset))
+                return dataset
 
-        monkeypatch.setattr(pipeline_module, "load_corpus", counting_load)
-        monkeypatch.setattr(pipeline_module, "extract_uses", recording_extract)
-        monkeypatch.setattr(pipeline_module, "train_sgns", checked_sgns)
-        # Unmasked, the dataset shares the corpus's sentence lists.
-        config = load_config(
-            write_config(tmp_path, bench_dir), overrides={"masked": False}
-        )
-        pipeline = Pipeline(config)
-        pipeline.run_all()
-        raw = [(str(config.corpus_t1), T1), (str(config.corpus_t2), T2)]
-        calls = [tuple(line.split("\t")) for line in log.read_text().splitlines()]
-        assert [c for c in calls if c in raw] == raw
-        assert len(calls) == 4  # plus the static stage's two ingest outputs
-        c1, c2 = loaded[raw[0]], loaded[raw[1]]
-        extracted = list(map(int, extract_log.read_text().split()))
-        assert extracted[0] == id(c1) and extracted[1] == id(c2)
-        assert not pipeline._memo
-        for corpus, (path, period) in zip((c1, c2), raw):
-            fresh = load_corpus(path, period)
-            assert corpus.period == fresh.period
-            assert corpus.sentences == fresh.sentences
+            def checked_sgns(corpus, config):
+                # While SGNS trains, the process holds no memo entry and no
+                # dataset: of the corpora, only the SGNS ones are alive.
+                assert not pipeline._memo
+                assert all(ref() is None for ref in datasets)
+                with open(sgns_log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{id(corpus)}\n")
+                return train_sgns(corpus, config)
+
+            monkeypatch.setattr(pipeline_module, "load_corpus", counting_load)
+            monkeypatch.setattr(pipeline_module, "extract_uses", recording_extract)
+            monkeypatch.setattr(pipeline_module, "build_clf_dataset", recording_dataset)
+            monkeypatch.setattr(pipeline_module, "train_sgns", checked_sgns)
+            monkeypatch.setattr(
+                os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
+            )
+            # Unmasked, the dataset shares the corpus's sentence lists.
+            config = load_config(
+                write_config(run_dir, bench_dir), overrides={"masked": False}
+            )
+            pipeline = Pipeline(config)
+            pipeline.run_all()
+            raw = [(str(config.corpus_t1), T1), (str(config.corpus_t2), T2)]
+            calls = [tuple(line.split("\t")) for line in log.read_text().splitlines()]
+            assert calls == raw  # each input parsed once; no file read back
+            c1, c2 = loaded[raw[0]], loaded[raw[1]]
+            extracted = list(map(int, extract_log.read_text().split()))
+            assert extracted[0] == id(c1) and extracted[1] == id(c2)
+            # No threshold applies, so SGNS trains on the very corpora parsed.
+            trained = sorted(map(int, sgns_log.read_text().split()))
+            assert trained == sorted((id(c1), id(c2)))
+            if cores == 1:  # the dataset was built, and freed, in this process
+                assert datasets and datasets[0]() is None
+            assert not pipeline._memo
+            for corpus, (path, period) in zip((c1, c2), raw):
+                fresh = load_corpus(path, period)
+                assert corpus.period == fresh.period
+                assert corpus.sentences == fresh.sentences
 
 
 class TestPipelineErrors:

@@ -16,7 +16,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import T1, T2, Corpus, write_corpus
 from .ensemble import CHANGED, Ranking, average_ranks, binarize
 
 _COMMON_WORDS = 150
@@ -31,10 +30,11 @@ _TOPIC_RATE = 0.35
 
 @dataclass
 class SyntheticBenchmark:
-    """Generated corpus pair plus the ground truth that produced it."""
+    """Generated corpus pair, as token lists, plus the ground truth that
+    produced it."""
 
-    corpus_t1: Corpus
-    corpus_t2: Corpus
+    sentences_t1: list[list[str]]
+    sentences_t2: list[list[str]]
     targets: list[str]
     degrees: list[float]
     seed: int
@@ -123,7 +123,7 @@ def generate_shift_benchmark(
         tail = _common(rng.random(3).tolist())
         return _common(u[1:]) + [left, target, right] + tail
 
-    def _build(period: str, use_b_prob: list[float]) -> Corpus:
+    def _build(use_b_prob: list[float]) -> list[list[str]]:
         sentences = [
             _target_sentence(targets[i], use_b_prob[i])
             for i in range(n_targets)
@@ -131,13 +131,11 @@ def generate_shift_benchmark(
         ]
         sentences.extend(_background_sentence() for _ in range(n_background))
         order = rng.permutation(len(sentences))
-        return Corpus(sentences=[sentences[int(i)] for i in order], period=period)
+        return [sentences[i] for i in order.tolist()]
 
-    corpus_t1 = _build(T1, [0.0] * n_targets)
-    corpus_t2 = _build(T2, list(degrees))
     return SyntheticBenchmark(
-        corpus_t1=corpus_t1,
-        corpus_t2=corpus_t2,
+        sentences_t1=_build([0.0] * n_targets),
+        sentences_t2=_build(list(degrees)),
         targets=targets,
         degrees=list(degrees),
         seed=seed,
@@ -168,15 +166,18 @@ def write_benchmark(benchmark: SyntheticBenchmark, out_dir: str | Path) -> dict[
         "gold": out / "gold.tsv",
         "binary_gold": out / "gold_binary.tsv",
     }
-    write_corpus(benchmark.corpus_t1, paths["corpus_t1"])
-    write_corpus(benchmark.corpus_t2, paths["corpus_t2"])
-    with open(paths["targets"], "w", encoding="utf-8") as fh:
-        for word in benchmark.targets:
-            fh.write(word + "\n")
-    with open(paths["gold"], "w", encoding="utf-8") as fh:
-        for word, degree in zip(benchmark.targets, benchmark.degrees):
-            fh.write(f"{word}\t{format(degree, '.9g')}\n")
-    with open(paths["binary_gold"], "w", encoding="utf-8") as fh:
-        for word in benchmark.targets:
-            fh.write(f"{word}\t{binary[word]}\n")
+    _write_lines(paths["corpus_t1"], map(" ".join, benchmark.sentences_t1))
+    _write_lines(paths["corpus_t2"], map(" ".join, benchmark.sentences_t2))
+    _write_lines(paths["targets"], benchmark.targets)
+    _write_lines(
+        paths["gold"],
+        (f"{w}\t{format(d, '.9g')}" for w, d in zip(benchmark.targets, benchmark.degrees)),
+    )
+    _write_lines(paths["binary_gold"], (f"{w}\t{binary[w]}" for w in benchmark.targets))
     return paths
+
+
+def _write_lines(path: Path, lines) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")

@@ -279,7 +279,7 @@ def train_time_classifier(
     ids = model.token_ids(enc.words)[enc.ids]
     bounds = enc.offsets.tolist()
     example_ids = [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    labels = [1 if label == T2 else 0 for _, label in dataset.examples]
+    labels = [1 if label == T2 else 0 for label in dataset.labels]
 
     lr0 = config.learning_rate
     lr_floor = lr0 * _LR_FLOOR_FACTOR

@@ -4,19 +4,19 @@ balanced time-classification dataset.
 Corpora are plain UTF-8 text, one pre-lemmatized sentence per line, tokens
 separated by whitespace. Tokenization here is whitespace splitting only.
 
-Besides its token lists, a corpus has an integer form (`Encoded`), built once
-from them: one int32 id array over all sentences, the sentence offsets into
-it, and the corpus's own word list. Counting, masking, thresholding, SGNS
-pairs and use extraction read that form through lookup tables indexed by id.
+A corpus, and the classifier's dataset, are stored only in an integer form
+(`Encoded`): one int32 id array over all sentences, the sentence offsets into
+it, and the word list the ids index. Counting, masking, thresholding, SGNS
+pairs, the classifier and use extraction read that form through lookup
+tables indexed by id; token lists are decoded from it on demand.
 """
 
 from __future__ import annotations
 
-import sys
-from collections import Counter
-from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import chain
+from array import array
+from collections import Counter, defaultdict
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -58,37 +58,39 @@ class Encoded:
         """Occurrences of each word, indexed by id."""
         return np.bincount(self.ids, minlength=len(self.words))
 
-
-def encode(sentences: list[list[str]]) -> Encoded:
-    offsets = np.zeros(len(sentences) + 1, dtype=np.int64)
-    np.cumsum(np.fromiter(map(len, sentences), dtype=np.int64), out=offsets[1:])
-    # Two passes over the sentences, so no list of every token is built.
-    words = list(dict.fromkeys(chain.from_iterable(sentences)))
-    index = {w: i for i, w in enumerate(words)}
-    tokens = chain.from_iterable(sentences)
-    ids = np.fromiter(map(index.__getitem__, tokens), dtype=np.int32, count=offsets[-1])
-    return Encoded(ids, offsets, words)
+    def decode(self) -> list[list[str]]:
+        """The sentences as token lists."""
+        tokens = list(map(self.words.__getitem__, self.ids.tolist()))
+        bounds = self.offsets.tolist()
+        return [tokens[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-@dataclass
+def encode(sentences: Iterable[list[str]]) -> Encoded:
+    """Encode in one pass over `sentences`; no list of every token is built."""
+    index: defaultdict[str, int] = defaultdict(lambda: len(index))  # new word: next id
+    ids, ends = array("i"), array("q", [0])
+    for sentence in sentences:
+        ids.extend(map(index.__getitem__, sentence))
+        ends.append(len(ids))
+    return Encoded(np.frombuffer(ids, np.int32), np.frombuffer(ends, np.int64), list(index))
+
+
 class Corpus:
-    """An ordered collection of tokenized sentences from one time period."""
+    """An ordered collection of tokenized sentences from one time period,
+    stored only as its integer form."""
 
-    sentences: list[list[str]]
-    period: str
+    def __init__(self, sentences: Iterable[list[str]], period: str):
+        self.period = _check_period(period)
+        self.encoded = encode(sentences)
 
-    def __post_init__(self):
-        _check_period(self.period)
-
-    @cached_property
-    def encoded(self) -> Encoded:
-        """The integer form of `sentences`, built on first use; a corpus is
-        not modified after that."""
-        return encode(self.sentences)
+    @property
+    def sentences(self) -> list[list[str]]:
+        """The token lists, decoded anew on each access."""
+        return self.encoded.decode()
 
     @property
     def sentence_count(self) -> int:
-        return len(self.sentences)
+        return len(self.encoded.offsets) - 1
 
     def token_set(self) -> set[str]:
         return set(self.encoded.words)
@@ -100,32 +102,16 @@ def load_corpus(path: str | Path, period: str) -> Corpus:
     Raises OSError for unreadable files and EmptyCorpusError when the file
     has no non-empty line.
     """
-    _check_period(period)
-    sentences: list[list[str]] = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                # Interning keeps repeated tokens from duplicating storage
-                # at corpus scale.
-                sentences.append(list(map(sys.intern, tokens)))
-    if not sentences:
+        corpus = Corpus(filter(None, map(str.split, fh)), period)
+    if not corpus.sentence_count:
         raise EmptyCorpusError(f"no non-empty sentences in {path}")
-    corpus = Corpus(sentences=sentences, period=period)
-    # Encoded here, so that every stage (and a forked helper) shares it.
-    corpus.encoded
     return corpus
 
 
-def write_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write a corpus in its file format: one sentence per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for sentence in corpus.sentences:
-            fh.write(" ".join(sentence) + "\n")
-
-
 def load_targets(path: str | Path) -> list[str]:
-    """Read the target list: one word per line, order preserved, no duplicates."""
+    """Read the target list: one word per line, order preserved, no
+    duplicates, at least one word."""
     targets: list[str] = []
     seen: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -137,6 +123,8 @@ def load_targets(path: str | Path) -> list[str]:
                 raise ValueError(f"duplicate target {word!r} at line {i} of {path}")
             seen.add(word)
             targets.append(word)
+    if not targets:
+        raise ValueError(f"no targets in {path}")
     return targets
 
 
@@ -206,11 +194,10 @@ def apply_threshold(
     keep = np.array(
         [w in exempt or vocab.total_count(w) >= threshold for w in enc.words], dtype=bool
     )[enc.ids]
-    tokens = list(map(enc.words.__getitem__, enc.ids[keep].tolist()))
-    # Sentence i keeps tokens[bounds[i]:bounds[i + 1]].
-    bounds = np.r_[0, np.cumsum(keep)][enc.offsets].tolist()
-    kept = [tokens[a:b] for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-    return Corpus(sentences=kept, period=corpus.period)
+    # Sentence i keeps the tokens between bounds[i] and bounds[i + 1].
+    bounds = np.r_[0, np.cumsum(keep)][enc.offsets]
+    kept = Encoded(enc.ids[keep], bounds, enc.words).decode()
+    return Corpus(filter(None, kept), corpus.period)
 
 
 def corpus_unique_tokens(corpus_t1: Corpus, corpus_t2: Corpus) -> set[str]:
@@ -231,31 +218,32 @@ def choose_mask_token(
     return token
 
 
-@dataclass
+@dataclass(eq=False)  # no field-wise ==: `encoded` holds arrays
 class TimeClfDataset:
     """Balanced sentence-classification examples labeled with their period.
+    Example i is sentence i of `encoded`, with labels[i] and splits[i]."""
 
-    `encoded` holds the examples' tokens as ids, in example order; it is
-    built from `examples` unless the builder supplies it."""
-
-    examples: list[tuple[list[str], str]]
-    splits: list[str]  # TRAIN or TEST, parallel to examples
+    encoded: Encoded
+    labels: list[str]  # T1 or T2
+    splits: list[str]  # TRAIN or TEST
     masked: bool
     mask_token: str
-    encoded: Encoded | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(self.examples) != len(self.splits):
-            raise ValueError("examples and splits must have equal length")
-        if self.encoded is None:
-            self.encoded = encode([tokens for tokens, _ in self.examples])
+        if not len(self.encoded.offsets) - 1 == len(self.labels) == len(self.splits):
+            raise ValueError("encoded, labels and splits must have equal length")
+
+    @property
+    def examples(self) -> list[tuple[list[str], str]]:
+        """(tokens, label) per example, decoded anew on each access."""
+        return list(zip(self.encoded.decode(), self.labels))
 
     def indices(self, split: str) -> list[int]:
         return [i for i, s in enumerate(self.splits) if s == split]
 
     def label_counts(self, split: str | None = None) -> dict[str, int]:
         counts = {T1: 0, T2: 0}
-        for (_, label), s in zip(self.examples, self.splits):
+        for label, s in zip(self.labels, self.splits):
             if split is None or s == split:
                 counts[label] += 1
         return counts
@@ -316,21 +304,12 @@ def build_clf_dataset(
     sizes = np.diff(np.r_[starts, len(ids)])[chosen]
     offsets = np.r_[0, np.cumsum(sizes)]
     gather = np.repeat(starts[chosen] - offsets[:-1], sizes) + np.arange(offsets[-1])
-    encoded = Encoded(ids[gather], offsets, words)
-
-    sentences = corpus_t1.sentences + corpus_t2.sentences
-    examples = [(sentences[g], T1 if g < n1 else T2) for g in chosen.tolist()]
-    if unique:  # only the examples holding a masked token are copied
-        hits = np.flatnonzero(encoded.ids == index[mask_token])
-        for i in np.unique(np.searchsorted(offsets, hits, side="right") - 1).tolist():
-            tokens, label = examples[i]
-            examples[i] = ([mask_token if t in unique else t for t in tokens], label)
     dataset = TimeClfDataset(
-        examples=examples,
+        encoded=Encoded(ids[gather], offsets, words),
+        labels=[T1 if g < n1 else T2 for g in chosen.tolist()],
         splits=[TRAIN if t else TEST for t in train[order].tolist()],
         masked=masked,
         mask_token=mask_token,
-        encoded=encoded,
     )
     _check_balance(dataset)
     return dataset

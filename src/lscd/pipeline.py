@@ -124,6 +124,10 @@ class PipelineConfig:
             raise ValueError(
                 f"[scoring] pair_budget must be >= 1, got {self.pair_budget}"
             )
+        if self.grid_step is not None and not 0.0 < self.grid_step <= 0.5:
+            raise ValueError(
+                f"[ensemble] grid_step must be in (0, 0.5], got {self.grid_step}"
+            )
 
     def threshold_for(self, total_sentences: int) -> int | None:
         if self.threshold == "auto":

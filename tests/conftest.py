@@ -15,6 +15,22 @@ def make_corpus(sentences: list[str], period: str = T1) -> Corpus:
     return Corpus(sentences=[s.split() for s in sentences], period=period)
 
 
+def random_sentences(
+    rng: np.random.Generator,
+    n_sentences: int,
+    vocab_size: int = 30,
+    prefix: str = "w",
+    min_len: int = 3,
+    max_len: int = 10,
+) -> list[list[str]]:
+    words = [f"{prefix}{i}" for i in range(vocab_size)]
+    sentences = []
+    for _ in range(n_sentences):
+        length = int(rng.integers(min_len, max_len + 1))
+        sentences.append([words[i] for i in rng.integers(0, vocab_size, size=length)])
+    return sentences
+
+
 def random_corpus(
     rng: np.random.Generator,
     n_sentences: int,
@@ -24,9 +40,5 @@ def random_corpus(
     min_len: int = 3,
     max_len: int = 10,
 ) -> Corpus:
-    words = [f"{prefix}{i}" for i in range(vocab_size)]
-    sentences = []
-    for _ in range(n_sentences):
-        length = int(rng.integers(min_len, max_len + 1))
-        sentences.append([words[i] for i in rng.integers(0, vocab_size, size=length)])
+    sentences = random_sentences(rng, n_sentences, vocab_size, prefix, min_len, max_len)
     return Corpus(sentences=sentences, period=period)

@@ -93,7 +93,8 @@ def reference_train(
     train_idx = dataset.indices(TRAIN)
     if not train_idx:
         raise DatasetError("train split must be non-empty")
-    words = sorted({t for tokens, _ in dataset.examples for t in tokens})
+    examples = dataset.examples
+    words = sorted({t for tokens, _ in examples for t in tokens})
     if vocabulary is not None:
         seen = set(words)
         words.extend(w for w in vocabulary if w not in seen)
@@ -113,7 +114,7 @@ def reference_train(
     step = 0
     for _ in range(config.epochs):
         for i in rng.permutation(len(train_idx)):
-            tokens, label = dataset.examples[train_idx[int(i)]]
+            tokens, label = examples[train_idx[int(i)]]
             if not tokens:
                 continue
             lr = max(lr0 * (1.0 - step / total_steps), lr0 * 1e-2)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -20,7 +21,7 @@ from lscd.context import (
     save_classifier,
     train_time_classifier,
 )
-from lscd.corpus import T1, T2, TEST, Corpus, TimeClfDataset, build_clf_dataset
+from lscd.corpus import T1, T2, TEST, Corpus, TimeClfDataset, build_clf_dataset, encode
 from lscd.errors import DatasetError, FormatError, TrainingDivergedError
 
 from conftest import random_corpus
@@ -46,18 +47,8 @@ def marker_corpora(rng, n=1200, vocab_size=40):
 
 
 def shuffle_labels(dataset: TimeClfDataset, seed: int) -> TimeClfDataset:
-    rng = np.random.default_rng(seed)
-    labels = [label for _, label in dataset.examples]
-    order = rng.permutation(len(labels))
-    shuffled = [
-        (dataset.examples[i][0], labels[int(order[i])]) for i in range(len(labels))
-    ]
-    return TimeClfDataset(
-        examples=shuffled,
-        splits=list(dataset.splits),
-        masked=dataset.masked,
-        mask_token=dataset.mask_token,
-    )
+    order = np.random.default_rng(seed).permutation(len(dataset.labels))
+    return dataclasses.replace(dataset, labels=[dataset.labels[i] for i in order.tolist()])
 
 
 def small_model(seed=0, dimension=6, radius=2) -> TimeClassifier:
@@ -85,16 +76,17 @@ def lengths_dataset(radius: int, repeats: int = 6) -> TimeClfDataset:
     """Sentences of every length 1..2*radius+2 in both periods, with repeated
     tokens, split so that every length is trained on."""
     rng = np.random.default_rng(radius)
-    examples, splits = [], []
+    sentences, labels, splits = [], [], []
     for _ in range(repeats):
         for length in range(1, 2 * radius + 3):
             for label in (T1, T2):
-                tokens = [f"w{i}" for i in rng.integers(0, 5, size=length)]
-                examples.append((tokens, label))
+                sentences.append([f"w{i}" for i in rng.integers(0, 5, size=length)])
+                labels.append(label)
                 splits.append("train")
-    examples += [(["w1", "w2"], T1), (["w3"], T2)]
+    sentences += [["w1", "w2"], ["w3"]]
+    labels += [T1, T2]
     splits += ["test", "test"]
-    return TimeClfDataset(examples, splits, masked=False, mask_token="[MASK]")
+    return TimeClfDataset(encode(sentences), labels, splits, masked=False, mask_token="[MASK]")
 
 
 class TestGradients:
@@ -291,7 +283,8 @@ class TestTraining:
             dataset, EncoderConfig(dimension=16, context_radius=2, seed=18)
         )
         losses = []
-        for tokens, label in (dataset.examples[i] for i in dataset.indices(TEST)):
+        examples = dataset.examples
+        for tokens, label in (examples[i] for i in dataset.indices(TEST)):
             p = model.predict_proba(tokens)
             y = 1.0 if label == T2 else 0.0
             losses.append(-(y * math.log(p + 1e-12) + (1 - y) * math.log(1 - p + 1e-12)))
@@ -355,7 +348,8 @@ class TestTraining:
 
     def test_empty_split_rejected(self):
         dataset = TimeClfDataset(
-            examples=[(["a"], T1), (["b"], T2)],
+            encoded=encode([["a"], ["b"]]),
+            labels=[T1, T2],
             splits=["train", "train"],
             masked=False,
             mask_token="[MASK]",

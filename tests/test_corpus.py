@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from collections import Counter
+from itertools import chain
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,20 +14,20 @@ from lscd.corpus import (
     TEST,
     TRAIN,
     Corpus,
+    TimeClfDataset,
     apply_threshold,
     build_clf_dataset,
     build_vocabulary,
     choose_mask_token,
-    corpus_unique_tokens,
+    encode,
     frequency_threshold,
     load_corpus,
     load_targets,
-    write_corpus,
     write_dataset_tsv,
 )
 from lscd.errors import EmptyCorpusError
 
-from conftest import make_corpus, random_corpus
+from conftest import make_corpus, random_corpus, random_sentences
 
 
 class TestLoadCorpus:
@@ -66,10 +69,39 @@ class TestLoadCorpus:
             load_corpus(path, "t3")
 
     def test_roundtrip(self, tmp_path):
-        corpus = make_corpus(["a b c", "d e"])
-        write_corpus(corpus, tmp_path / "c.txt")
-        again = load_corpus(tmp_path / "c.txt", T1)
-        assert again.sentences == corpus.sentences
+        corpus = make_corpus(["a b c", "d e", "e a"])
+        path = tmp_path / "c.txt"
+        path.write_text("".join(" ".join(s) + "\n" for s in corpus.sentences))
+        again = load_corpus(path, T1)
+        assert again.sentences == corpus.sentences == [["a", "b", "c"], ["d", "e"], ["e", "a"]]
+        assert again.encoded.words == corpus.encoded.words
+
+    def test_only_the_integer_form_is_stored(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("a b\n\nc a\n", encoding="utf-8")
+        corpus = load_corpus(path, T1)
+        assert vars(corpus).keys() == {"period", "encoded"}
+        assert corpus.encoded.words == ["a", "b", "c"]
+        assert corpus.encoded.ids.tolist() == [0, 1, 2, 0]
+        assert corpus.encoded.offsets.tolist() == [0, 2, 4]
+
+
+sentence_lists = st.lists(st.lists(st.sampled_from(["a", "b", "c", "dd", "é"]), max_size=6))
+
+
+class TestEncode:
+    @given(sentence_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_decode_inverts_encode(self, sentences):
+        enc = encode(sentences)
+        assert enc.decode() == sentences
+        assert enc.words == list(dict.fromkeys(chain.from_iterable(sentences)))
+        assert enc.ids.dtype == np.int32 and enc.offsets.dtype == np.int64
+        assert enc.offsets.tolist() == [0, *np.cumsum([len(s) for s in sentences])]
+
+    def test_reads_an_iterator_once(self):
+        enc = encode(iter([["x", "y"], [], ["y"]]))
+        assert enc.decode() == [["x", "y"], [], ["y"]]
 
 
 class TestTargets:
@@ -185,6 +217,22 @@ class TestBuildClfDataset:
         n_train = len(ds.indices(TRAIN))
         assert abs(n_train - 0.8 * len(ds.examples)) <= 1
 
+    def test_no_token_lists_stored(self, rng):
+        c1 = random_corpus(rng, 30, period=T1)
+        c2 = random_corpus(rng, 40, period=T2, prefix="v")
+        for masked in (False, True):
+            ds = build_clf_dataset(c1, c2, masked=masked, seed=0)
+            assert vars(ds).keys() == {"encoded", "labels", "splits", "masked", "mask_token"}
+            assert len(ds.labels) == len(ds.splits) == 60
+            assert set(ds.labels) == {T1, T2}
+
+    def test_lengths_must_agree(self):
+        enc = encode([["a"], ["b"]])
+        with pytest.raises(ValueError, match="equal length"):
+            TimeClfDataset(enc, [T1], [TRAIN, TEST], masked=False, mask_token="[MASK]")
+        with pytest.raises(ValueError, match="equal length"):
+            TimeClfDataset(enc, [T1, T2, T1], [TRAIN, TEST, TEST], False, "[MASK]")
+
     def test_masking_replaces_unique_tokens(self, rng):
         c1 = Corpus([["shared", "only1"], ["shared", "x"]], T1)
         c2 = Corpus([["shared", "zeppelin"], ["x", "shared"]], T2)
@@ -234,20 +282,28 @@ class TestBuildClfDataset:
     @settings(max_examples=30, deadline=None)
     def test_mask_completeness(self, seed):
         gen = np.random.default_rng(seed)
-        c1 = random_corpus(gen, 30, vocab_size=12, period=T1, prefix="s")
-        c2 = random_corpus(gen, 30, vocab_size=12, period=T2, prefix="s")
+        s1 = random_sentences(gen, 30, vocab_size=12, prefix="s")
+        s2 = random_sentences(gen, 40, vocab_size=12, prefix="s")
         # Sprinkle some corpus-unique tokens into both sides.
-        c1.sentences[0].append("unique_one")
-        c2.sentences[0].append("unique_two")
-        unique = corpus_unique_tokens(c1, c2)
-        ds = build_clf_dataset(c1, c2, masked=True, seed=seed)
-        observed = {t for tokens, _ in ds.examples for t in tokens}
-        assert not (observed & unique)
-        # The dataset's ids spell its (masked) examples.
-        enc, bounds = ds.encoded, ds.encoded.offsets
-        assert [
-            [enc.words[i] for i in enc.ids[a:b]] for a, b in zip(bounds[:-1], bounds[1:])
-        ] == [tokens for tokens, _ in ds.examples]
+        s1[0].append("unique_one")
+        s2[0].append("unique_two")
+        unique = set(chain.from_iterable(s1)) ^ set(chain.from_iterable(s2))
+        ds = build_clf_dataset(Corpus(s1, T1), Corpus(s2, T2), masked=True, seed=seed)
+        assert ds.mask_token not in set(chain.from_iterable(s1 + s2))
+
+        # Each example is one source sentence of its period, each source
+        # sentence used at most once, with every corpus-unique token masked.
+        def masked(sentences):
+            return Counter(
+                tuple(ds.mask_token if t in unique else t for t in s) for s in sentences
+            )
+
+        got = {T1: Counter(), T2: Counter()}
+        for tokens, label in ds.examples:
+            got[label][tuple(tokens)] += 1
+        assert sum(got[T1].values()) == sum(got[T2].values()) == 30
+        assert got[T1] == masked(s1)  # the smaller corpus is taken whole
+        assert not got[T2] - masked(s2)
 
     def test_mask_token_avoids_collision(self):
         c1 = Corpus([["[MASK]", "a"]], T1)
@@ -263,10 +319,10 @@ class TestBuildClfDataset:
             build_clf_dataset(c1, c2, masked=False, seed=0)
 
     def test_tsv_format(self, tmp_path, rng):
-        c1 = random_corpus(rng, 20, period=T1)
+        s1 = random_sentences(rng, 20)
+        s1[3].append("unique_one")
         c2 = random_corpus(rng, 30, period=T2)
-        c1.sentences[3].append("unique_one")
-        ds = build_clf_dataset(c1, c2, masked=True, seed=2)
+        ds = build_clf_dataset(Corpus(s1, T1), c2, masked=True, seed=2)
         path = tmp_path / "dataset.tsv"
         write_dataset_tsv(ds, path)
         lines = path.read_text(encoding="utf-8").split("\n")

@@ -189,12 +189,12 @@ class TestBenchmarkGenerator:
         """Counting oracle: classify each target sentence by its adjacent
         context pool and measure the B fraction per target in each corpus."""
         fractions = {}
-        for corpus_name, corpus in (
-            ("t1", benchmark.corpus_t1),
-            ("t2", benchmark.corpus_t2),
+        for corpus_name, sentences in (
+            ("t1", benchmark.sentences_t1),
+            ("t2", benchmark.sentences_t2),
         ):
             counts = {w: [0, 0] for w in benchmark.targets}  # [a_ctx, b_ctx]
-            for sentence in corpus.sentences:
+            for sentence in sentences:
                 for target in benchmark.targets:
                     if target in sentence:
                         pos = sentence.index(target)
@@ -226,9 +226,9 @@ class TestBenchmarkGenerator:
 
     def test_min_occurrences(self):
         bench = generate_shift_benchmark(4, [0.1, 0.4, 0.7, 0.9], 500, seed=2)
-        for corpus in (bench.corpus_t1, bench.corpus_t2):
+        for sentences in (bench.sentences_t1, bench.sentences_t2):
             counts = {w: 0 for w in bench.targets}
-            for sentence in corpus.sentences:
+            for sentence in sentences:
                 for w in bench.targets:
                     counts[w] += sentence.count(w)
             assert all(c >= 20 for c in counts.values())
@@ -236,13 +236,13 @@ class TestBenchmarkGenerator:
     def test_deterministic_per_seed(self):
         a = generate_shift_benchmark(3, [0.0, 0.5, 1.0], 300, seed=5)
         b = generate_shift_benchmark(3, [0.0, 0.5, 1.0], 300, seed=5)
-        assert a.corpus_t1.sentences == b.corpus_t1.sentences
-        assert a.corpus_t2.sentences == b.corpus_t2.sentences
+        assert a.sentences_t1 == b.sentences_t1
+        assert a.sentences_t2 == b.sentences_t2
 
     def test_sentence_counts(self):
         bench = generate_shift_benchmark(3, [0.0, 0.5, 1.0], 1000, seed=6)
-        assert bench.corpus_t1.sentence_count == 1000
-        assert bench.corpus_t2.sentence_count == 1000
+        assert len(bench.sentences_t1) == 1000
+        assert len(bench.sentences_t2) == 1000
 
     def test_degrees_validation(self):
         with pytest.raises(ValueError):

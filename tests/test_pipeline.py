@@ -151,6 +151,24 @@ class TestConfig:
         with pytest.raises(ValueError, match="pair_budget"):
             load_config(write_config(tmp_path, bench_dir), overrides={"pair_budget": -3})
 
+    def grid_step_config(self, tmp_path, bench_dir, value: str) -> Path:
+        path = write_config(tmp_path, bench_dir)
+        path.write_text(path.read_text().replace("grid_step = 0.25", f"grid_step = {value}"))
+        return path
+
+    @pytest.mark.parametrize("value", ["0.7", "-1", "0", "nan"])
+    def test_grid_step_outside_range_rejected(self, tmp_path, bench_dir, value):
+        message = re.escape("[ensemble] grid_step must be in (0, 0.5]")
+        with pytest.raises(ValueError, match=message):
+            load_config(self.grid_step_config(tmp_path, bench_dir, value))
+        with pytest.raises(ValueError, match=message):
+            load_config(write_config(tmp_path, bench_dir), overrides={"grid_step": float(value)})
+
+    def test_grid_step_bounds_accepted(self, tmp_path, bench_dir):
+        for value in ("0.5", "0.01"):
+            path = self.grid_step_config(tmp_path, bench_dir, value)
+            assert load_config(path).grid_step == float(value)
+
     @pytest.mark.parametrize("value", ["-5", "AUTO", "1.5", ""])
     def test_bad_threshold_rejected_naming_key_and_values(self, tmp_path, bench_dir, value):
         path = write_config(tmp_path, bench_dir, extra=f"\n[corpus]\nthreshold = {value}\n")
@@ -705,6 +723,17 @@ class TestPipelineErrors:
         # no sentinel was written for the failed stage
         stage_root = config.output_dir / "ingest"
         assert not any(stage_root.rglob(".complete"))
+
+    def test_empty_target_file_fails_in_ingest(self, tmp_path, bench_dir):
+        # Before any model trains: no static stage directory is made.
+        empty = tmp_path / "targets.txt"
+        empty.write_text("\n\n", encoding="utf-8")
+        config = load_config(write_config(tmp_path, bench_dir), overrides={"targets": empty})
+        with pytest.raises(StageError, match="ingest") as excinfo:
+            Pipeline(config).run_all()
+        assert excinfo.value.stage == "ingest"
+        assert f"no targets in {empty}" in str(excinfo.value)
+        assert not (config.output_dir / "static").exists()
 
     def test_worker_divergence_reaches_parent(self, tmp_path, bench_dir, monkeypatch):
         import lscd.pipeline as pipeline_module

@@ -7,9 +7,9 @@ from .context import (
     EncoderConfig,
     TimeClassifier,
     UseSet,
-    export_uses,
     extract_uses,
-    import_uses,
+    load_uses,
+    save_uses,
     train_time_classifier,
 )
 from .corpus import (
@@ -34,7 +34,7 @@ from .ensemble import (
 )
 from .evaluate import GoldData, binary_accuracy, load_gold, spearman
 from .scoring import ChangeScores, contextual_score, mpe_distance, static_score
-from .sgns import EmbeddingSpace, SgnsConfig, load_vectors, save_vectors, train_sgns
+from .sgns import EmbeddingSpace, SgnsConfig, load_space, save_space, train_sgns
 
 __version__ = "0.1.0"
 

@@ -10,21 +10,21 @@ never forms them: their mean is the coefficient-weighted sum
 ``coeffs @ rows / L`` (``coeffs[j]`` being the total offset weight that
 reaches token j), so one forward and backward pass costs O(L*d) and yields a
 sparse, one-row-per-token embedding gradient. Training, prediction and the
-gradient check share that pass. No pipeline stage reads a use-set file:
-export_uses and import_uses exchange use sets with other tools, in the TSV
-format below, as library calls only.
+gradient check share that pass. save_uses and load_uses store one
+period's use sets exactly, as the `uses` stage hands them to `scores`.
 """
 
 from __future__ import annotations
 
 import math
+import zipfile
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import T2, PERIODS, Corpus, TimeClfDataset, TRAIN, TEST, parse_rows
+from .corpus import T2, PERIODS, Corpus, TimeClfDataset, TRAIN, TEST, _load_array, _read_lines
 from .errors import DatasetError, FormatError, TrainingDivergedError
 
 _LR_FLOOR_FACTOR = 1e-2
@@ -385,70 +385,69 @@ def save_classifier(model: TimeClassifier, path: str | Path) -> None:
 
 
 def load_classifier(path: str | Path) -> TimeClassifier:
-    data = np.load(path)
-    raw = data["config"]
-    config = EncoderConfig(
-        dimension=int(raw[0]),
-        context_radius=int(raw[1]),
-        epochs=int(raw[2]),
-        learning_rate=float(raw[3]),
-        seed=int(raw[4]),
+    """Read what save_classifier wrote; a corrupt file or a missing array
+    raises FormatError naming the file."""
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            raw = data["config"]
+            config = EncoderConfig(
+                dimension=int(raw[0]),
+                context_radius=int(raw[1]),
+                epochs=int(raw[2]),
+                learning_rate=float(raw[3]),
+                seed=int(raw[4]),
+            )
+            return TimeClassifier(
+                words=[str(w) for w in data["words"]],
+                embeddings=data["embeddings"],
+                offset_weights=data["offset_weights"],
+                head_w=data["head_w"],
+                head_b=float(data["head_b"]),
+                config=config,
+            )
+    except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
+        raise FormatError(f"corrupt classifier file {path}: {exc}") from exc
+
+
+def save_uses(use_sets: list[UseSet], directory: str | Path, period: str) -> None:
+    """Write one period's use sets exactly: `uses_<period>.npy` holds every
+    use vector, set after set, and `uses_<period>.index.tsv` one
+    `word<TAB>row count<TAB>sentence indices` line per set, in order."""
+    directory = Path(directory)
+    rows = [u.vectors for u in use_sets]
+    np.save(
+        directory / f"uses_{period}.npy",
+        np.concatenate(rows) if rows else np.empty((0, 0)),
+        allow_pickle=False,
     )
-    return TimeClassifier(
-        words=[str(w) for w in data["words"]],
-        embeddings=data["embeddings"],
-        offset_weights=data["offset_weights"],
-        head_w=data["head_w"],
-        head_b=float(data["head_b"]),
-        config=config,
-    )
+    with open(directory / f"uses_{period}.index.tsv", "w", encoding="utf-8") as fh:
+        for u in use_sets:
+            indices = " ".join(map(str, u.sentence_indices))
+            fh.write(f"{u.word}\t{len(u.vectors)}\t{indices}\n")
 
 
-def export_uses(use_sets: list[UseSet], path: str | Path) -> None:
-    """Write use sets as TSV: word, period, sentence_index, vector (space
-    separated, 9 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for us in use_sets:
-            row_format = " ".join(["%.9g"] * us.vectors.shape[-1])
-            for si, vec in zip(us.sentence_indices, us.vectors):
-                fh.write(f"{us.word}\t{us.period}\t{si}\t{row_format % tuple(vec)}\n")
-
-
-def import_uses(path: str | Path) -> list[UseSet]:
-    """Read the use-set TSV, grouping rows by (word, period) in order of
-    first appearance. Raises FormatError (with the line number) on ragged
-    vector dimensions or malformed rows. Blank lines are skipped."""
-    keys: list[tuple[str, str]] = []
-    sids: list[int] = []
-    fields: list[str] = []
-    lines: list[int] = []
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise FormatError("expected 4 tab-separated fields", line=i)
-            word, period, si_str, vec_str = parts
-            if period not in PERIODS:
-                raise FormatError(f"unknown period {period!r}", line=i)
-            try:
-                sids.append(int(si_str))
-            except ValueError as exc:
-                raise FormatError("malformed use-set row", line=i) from exc
-            keys.append((word, period))
-            fields.append(vec_str)
-            lines.append(i)
-    vectors = parse_rows(fields, lines)
-    groups: dict[tuple[str, str], list[int]] = {}
-    for row, key in enumerate(keys):
-        groups.setdefault(key, []).append(row)
+def load_uses(directory: str | Path, period: str) -> list[UseSet]:
+    """Read the use sets that save_uses wrote for `period`, in their order;
+    files that do not agree raise FormatError naming the file."""
+    directory = Path(directory)
+    vectors = _load_array(directory / f"uses_{period}.npy")
+    path = directory / f"uses_{period}.index.tsv"
+    words, counts, indices = [], [], []
+    for i, line in enumerate(_read_lines(path), start=1):
+        parts = line.split("\t")
+        try:
+            word, count, sids = parts[0], int(parts[1]), list(map(int, parts[2].split()))
+        except (IndexError, ValueError) as exc:
+            raise FormatError(f"malformed use-set index row in {path}", line=i) from exc
+        if len(parts) != 3 or len(sids) != count:
+            raise FormatError(f"malformed use-set index row in {path}", line=i)
+        words.append(word)
+        counts.append(count)
+        indices.append(sids)
+    if sum(counts) != len(vectors):
+        raise FormatError(f"{path} indexes {sum(counts)} uses for {len(vectors)} vectors")
+    blocks = np.split(vectors, np.cumsum(counts)[:-1]) if counts else []
     return [
-        UseSet(
-            word=word,
-            period=period,
-            vectors=vectors[rows],
-            sentence_indices=[sids[r] for r in rows],
-        )
-        for (word, period), rows in groups.items()
+        UseSet(word=w, period=period, vectors=v, sentence_indices=s)
+        for w, v, s in zip(words, blocks, indices)
     ]

@@ -44,7 +44,7 @@ def _check_period(period: str) -> str:
     return period
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # no field-wise ==: it holds arrays
 class Encoded:
     """Sentences as ids: sentence i is ids[offsets[i]:offsets[i + 1]], and id
     j stands for words[j]. `encode` lists each distinct token once, in order
@@ -331,31 +331,28 @@ def write_dataset_tsv(dataset: TimeClfDataset, path: str | Path) -> None:
             fh.write(f"{label}\t{split}\t{' '.join(tokens)}\n")
 
 
-def parse_rows(
-    rows: list[str], lines: list[int], width: int | None = None
-) -> np.ndarray:
-    """The whitespace-separated numbers of `rows` (written with `%.9g`) as
-    one (len(rows), width) array, parsed by one np.loadtxt call, which rounds
-    exactly as float() does. `width` defaults to the first row's length.
-    Only when that call fails or yields another shape does a per-row pass
-    run, to raise FormatError with the line number (`lines`) of the bad row.
-    """
-    if not rows:
-        return np.empty((0, width or 0))
+def _load_array(path: Path) -> np.ndarray:
+    """The float64 matrix in the `.npy` file `path`, read without pickle
+    support; any other content raises FormatError naming the file."""
     try:
-        values = np.loadtxt(rows, ndmin=2, comments=None)
-        if len(values) == len(rows) and width in (None, values.shape[1]):
-            return values
-    except ValueError:
-        pass
-    parsed = []
-    for i, text in zip(lines, rows):
-        try:
-            row = [float(x) for x in text.split()]
-        except ValueError as exc:
-            raise FormatError("malformed number", line=i) from exc
-        width = len(row) if width is None else width
-        if len(row) != width:
-            raise FormatError(f"expected {width} numbers, got {len(row)}", line=i)
-        parsed.append(row)
-    return np.array(parsed, dtype=float)
+        array = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise FormatError(f"corrupt array file {path}: {exc}") from exc
+    if array.ndim != 2 or array.dtype != np.float64:
+        raise FormatError(
+            f"array file {path} holds a {array.dtype} array of shape "
+            f"{array.shape}, not a float64 matrix"
+        )
+    return array
+
+
+def _read_lines(path: Path) -> list[str]:
+    """The lines of `path`, each of which the writer ended with a newline;
+    a file whose last line lacks it was cut off and raises FormatError."""
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+    if text and not text.endswith("\n"):
+        raise FormatError(f"{path} is cut off: its last line has no newline")
+    return text.split("\n")[:-1]

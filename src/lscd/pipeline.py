@@ -11,9 +11,9 @@ run, each built once: the raw corpora, the SGNS corpora whose statistics
 `ingest` writes, and the classifier's dataset that `clf-dataset` writes. A
 stage whose upstream is cached builds the memo from the inputs, which with
 the configuration and seed fully determine it, so a cached and a freshly
-built upstream feed downstream stages identically. The vectors handed
-between stages are stored as `.npy` arrays, which round-trip exactly; the
-text vector and use-set formats serve only exchange with other tools.
+built upstream feed downstream stages identically. Spaces and use sets go
+between stages through save_space/load_space and save_uses/load_uses, as
+`.npy` arrays, which round-trip exactly.
 """
 
 from __future__ import annotations
@@ -37,7 +37,9 @@ from .context import (
     UseSet,
     extract_uses,
     load_classifier,
+    load_uses,
     save_classifier,
+    save_uses,
     train_time_classifier,
 )
 from .corpus import (
@@ -45,6 +47,8 @@ from .corpus import (
     T2,
     Corpus,
     TimeClfDataset,
+    _load_array,
+    _read_lines,
     apply_threshold,
     build_clf_dataset,
     build_vocabulary,
@@ -74,7 +78,7 @@ from .scoring import (
     static_score,
     write_scores_tsv,
 )
-from .sgns import EmbeddingSpace, SgnsConfig, train_sgns
+from .sgns import SgnsConfig, load_space, save_space, train_sgns
 
 ANSWER_DIR = "answers"
 MANIFEST_NAME = "manifest.json"
@@ -428,12 +432,12 @@ class Pipeline:
 
         def build(directory: Path):
             pair = align_spaces(
-                _load_space(static.path, T1),
-                _load_space(static.path, T2),
+                load_space(static.path, T1),
+                load_space(static.path, T2),
                 steps=cfg.align_steps,
             )
-            _save_space(pair.space_t1, directory, T1)
-            _save_space(pair.space_t2, directory, T2)
+            save_space(pair.space_t1, directory, T1)
+            save_space(pair.space_t2, directory, T2)
             np.save(directory / "rotation.npy", pair.rotation, allow_pickle=False)
             (directory / "shared_vocabulary.txt").write_text(
                 "\n".join(pair.shared_vocabulary) + "\n", encoding="utf-8"
@@ -518,7 +522,7 @@ class Pipeline:
             model = load_classifier(model_stage.path / "model.npz")
             targets = load_targets(cfg.targets)
             for period, corpus in zip((T1, T2), self._raw_corpora()):
-                _save_uses(extract_uses(model, corpus, targets), directory, period)
+                save_uses(extract_uses(model, corpus, targets), directory, period)
 
         return self._ensure("uses", payload, build)
 
@@ -543,16 +547,11 @@ class Pipeline:
 
         def build(directory: Path):
             targets = load_targets(cfg.targets)
-            shared = (
-                (align_stage.path / "shared_vocabulary.txt")
-                .read_text(encoding="utf-8")
-                .splitlines()
-            )
             pair = AlignedPair(
-                space_t1=_load_space(align_stage.path, T1),
-                space_t2=_load_space(align_stage.path, T2),
+                space_t1=load_space(align_stage.path, T1),
+                space_t2=load_space(align_stage.path, T2),
                 rotation=_load_array(align_stage.path / "rotation.npy"),
-                shared_vocabulary=shared,
+                shared_vocabulary=_read_lines(align_stage.path / "shared_vocabulary.txt"),
             )
             cf = static_score(pair, targets)
             uses_t1 = _load_uses(uses_stage.path, T1, targets)
@@ -737,7 +736,7 @@ class Pipeline:
 
 def _train_space(corpus: Corpus, config: SgnsConfig, directory: Path) -> None:
     """Train one period's SGNS space and save it."""
-    _save_space(train_sgns(corpus, config), directory, corpus.period)
+    save_space(train_sgns(corpus, config), directory, corpus.period)
 
 
 # -- the helper process ------------------------------------------------------
@@ -823,97 +822,14 @@ def _helper(pipeline: Pipeline, beside, jobs: list, queue, report) -> None:
             report.send(("space", None))
 
 
-# -- array artifacts ---------------------------------------------------------
-#
-# A space is `<period>.npy` (its float64 vectors) plus `<period>.words.txt`
-# (its words, one per line, in row order). A period's use sets are
-# `uses_<period>.npy` (every use vector, target after target) plus
-# `uses_<period>.index.tsv`: one `word<TAB>row count<TAB>sentence indices`
-# line per target, in target order. Every reader checks the parts agree, so
-# a truncated file fails with a FormatError naming it.
-
-
-def _load_array(path: Path) -> np.ndarray:
-    try:
-        array = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise FormatError(f"corrupt array file {path}: {exc}") from exc
-    if array.ndim != 2 or array.dtype != np.float64:
-        raise FormatError(
-            f"array file {path} holds a {array.dtype} array of shape "
-            f"{array.shape}, not a float64 matrix"
-        )
-    return array
-
-
-def _read_lines(path: Path) -> list[str]:
-    """The newline-terminated lines of `path`; a cut-off last line is
-    dropped, so the callers' row counts catch it."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    return text.split("\n")[:-1]
-
-
-def _save_space(space: EmbeddingSpace, directory: Path, period: str) -> None:
-    np.save(directory / f"{period}.npy", space.vectors, allow_pickle=False)
-    (directory / f"{period}.words.txt").write_text(
-        "".join(f"{word}\n" for word in space.words), encoding="utf-8"
-    )
-
-
-def _load_space(directory: Path, period: str) -> EmbeddingSpace:
-    vectors = _load_array(directory / f"{period}.npy")
-    path = directory / f"{period}.words.txt"
-    words = _read_lines(path)
-    if len(words) != len(vectors):
-        raise FormatError(f"{path} lists {len(words)} words for {len(vectors)} vectors")
-    word_ids = {w: i for i, w in enumerate(words)}
-    if len(word_ids) != len(words):
-        raise FormatError(f"duplicate word in {path}")
-    return EmbeddingSpace(words=words, word_ids=word_ids, vectors=vectors)
-
-
-def _save_uses(use_sets: list[UseSet], directory: Path, period: str) -> None:
-    rows = [u.vectors for u in use_sets]
-    np.save(
-        directory / f"uses_{period}.npy",
-        np.concatenate(rows) if rows else np.empty((0, 0)),
-        allow_pickle=False,
-    )
-    with open(directory / f"uses_{period}.index.tsv", "w", encoding="utf-8") as fh:
-        for u in use_sets:
-            indices = " ".join(map(str, u.sentence_indices))
-            fh.write(f"{u.word}\t{len(u.vectors)}\t{indices}\n")
-
-
 def _load_uses(directory: Path, period: str, targets: list[str]) -> list[UseSet]:
     """One use set per target, in target order; a target without uses in
-    `period` gets an empty one."""
-    vectors = _load_array(directory / f"uses_{period}.npy")
-    path = directory / f"uses_{period}.index.tsv"
-    words, counts, indices = [], [], []
-    for i, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        try:
-            word, count, sids = parts[0], int(parts[1]), list(map(int, parts[2].split()))
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"malformed use-set index row in {path}", line=i) from exc
-        if len(parts) != 3 or len(sids) != count:
-            raise FormatError(f"malformed use-set index row in {path}", line=i)
-        words.append(word)
-        counts.append(count)
-        indices.append(sids)
-    if words != targets:
+    `period` has an empty one."""
+    use_sets = load_uses(directory, period)
+    if [u.word for u in use_sets] != targets:
+        path = directory / f"uses_{period}.index.tsv"
         raise FormatError(f"{path} does not list the run's targets in order")
-    if sum(counts) != len(vectors):
-        raise FormatError(f"{path} indexes {sum(counts)} uses for {len(vectors)} vectors")
-    blocks = np.split(vectors, np.cumsum(counts)[:-1]) if counts else []
-    return [
-        UseSet(word=w, period=period, vectors=v, sentence_indices=s)
-        for w, v, s in zip(words, blocks, indices)
-    ]
+    return use_sets
 
 
 def _write_graded(path: Path, ranking: Ranking) -> None:
@@ -923,24 +839,24 @@ def _write_graded(path: Path, ranking: Ranking) -> None:
 
 
 def _read_metric(path: Path, name: str) -> float:
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            key, value = line.rstrip("\n").split("\t")
-            if key == name:
+    for i, line in enumerate(_read_lines(path), start=1):
+        key, _, value = line.partition("\t")
+        if key == name:
+            try:
                 return float(value)
-    raise LscdError(f"metric {name!r} not found in {path}")
+            except ValueError as exc:
+                raise FormatError(f"malformed metric row in {path}", line=i) from exc
+    raise FormatError(f"metric {name!r} not found in {path}")
 
 
 def _read_rankings(path: Path) -> dict[str, Ranking]:
     columns = {CONTEXT_FREE: {}, CONTEXT_DEPENDENT: {}, "ensemble": {}}
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # header
-        for line in fh:
-            parts = line.rstrip("\n").split("\t")
-            word = parts[0]
-            columns[CONTEXT_FREE][word] = float(parts[1])
-            columns[CONTEXT_DEPENDENT][word] = float(parts[2])
-            columns["ensemble"][word] = float(parts[3])
+    for line in _read_lines(path)[1:]:  # after the header
+        parts = line.split("\t")
+        word = parts[0]
+        columns[CONTEXT_FREE][word] = float(parts[1])
+        columns[CONTEXT_DEPENDENT][word] = float(parts[2])
+        columns["ensemble"][word] = float(parts[3])
     return {
         name: Ranking(ranks=ranks, source=name) for name, ranks in columns.items()
     }

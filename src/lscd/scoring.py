@@ -23,11 +23,14 @@ block's squared-distance matrix, and each temporary beside it, holds at most
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, TYPE_CHECKING
 
 import numpy as np
 
 from .align import AlignedPair
+from .corpus import _read_lines
+from .errors import FormatError
 
 if TYPE_CHECKING:
     from .context import UseSet
@@ -221,19 +224,24 @@ def write_scores_tsv(all_scores: Iterable[ChangeScores], path) -> None:
 
 
 def read_scores_tsv(path) -> dict[str, ChangeScores]:
-    """Inverse of write_scores_tsv, keyed by model tag."""
+    """Inverse of write_scores_tsv, keyed by model tag. A malformed or cut-off
+    file raises FormatError naming it and the line."""
+    path = Path(path)
+    lines = _read_lines(path)
+    if not lines or not lines[0].startswith("model\t"):
+        raise FormatError(f"not a scores TSV: {path}", line=1)
     by_model: dict[str, ChangeScores] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header.startswith("model\t"):
-            raise ValueError(f"not a scores TSV: {path}")
-        for line in fh:
-            model, word, score_str, status = line.rstrip("\n").split("\t")
-            cs = by_model.setdefault(model, ChangeScores(model=model, scores={}))
-            if status.startswith("unscorable(") or status.startswith("median("):
-                cs.unscorable[word] = status[status.index("(") + 1 : -1]
-            if status == "ok" or status.startswith("median("):
-                cs.scores[word] = float(score_str)
+    for i, line in enumerate(lines[1:], start=2):
+        try:
+            model, word, score_str, status = line.split("\t")
+            score = float(score_str)
+        except ValueError as exc:
+            raise FormatError(f"malformed scores row in {path}", line=i) from exc
+        cs = by_model.setdefault(model, ChangeScores(model=model, scores={}))
+        if status.startswith("unscorable(") or status.startswith("median("):
+            cs.unscorable[word] = status[status.index("(") + 1 : -1]
+        if status == "ok" or status.startswith("median("):
+            cs.scores[word] = score
     return by_model
 
 

@@ -25,12 +25,11 @@ the same function on a batch of one pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, parse_rows
+from .corpus import Corpus, _load_array, _read_lines
 from .errors import EmptyCorpusError, FormatError, TrainingDivergedError, VocabularyError
 
 _CHUNK = 512
@@ -69,7 +68,7 @@ class EmbeddingSpace:
 
     `vectors` (the input matrix) is what downstream alignment and scoring
     consume; `context_vectors` is kept for inspection and is None for spaces
-    loaded from text files.
+    read by load_space, since save_space stores only `vectors`.
     """
 
     words: list[str]
@@ -321,36 +320,26 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     )
 
 
-def save_vectors(space: EmbeddingSpace, path: str | Path) -> None:
-    """Write the input vectors in the plain-text format: a `<count> <dim>`
-    header, then one `word v1 ... vd` line per word (9 significant digits)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(space.words)} {space.dimension}\n")
-        row_format = " ".join(["%.9g"] * space.dimension)
-        for word, row in zip(space.words, space.vectors):
-            fh.write(f"{word} {row_format % tuple(row)}\n")
-
-
-def load_vectors(path: str | Path) -> EmbeddingSpace:
-    """Read the plain-text vector format written by save_vectors."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise FormatError(f"bad vector file header in {path}", line=1)
-        try:
-            n_words, dim = int(header[0]), int(header[1])
-        except ValueError as exc:
-            raise FormatError(f"bad vector file header in {path}", line=1) from exc
-        parts = [line.split(None, 1) for line in islice(fh, n_words)]
-    if len(parts) != n_words:
-        raise FormatError(f"expected {n_words} vector rows", line=len(parts) + 2)
-    words = [p[0] if p else "" for p in parts]
-    rows = parse_rows(
-        [p[1] if len(p) == 2 else "" for p in parts],
-        list(range(2, n_words + 2)),
-        width=dim,
+def save_space(space: EmbeddingSpace, directory: str | Path, name: str) -> None:
+    """Write the input vectors exactly: `<name>.npy` holds the (float64)
+    matrix and `<name>.words.txt` its words, one per line, in row order."""
+    directory = Path(directory)
+    np.save(directory / f"{name}.npy", space.vectors, allow_pickle=False)
+    (directory / f"{name}.words.txt").write_text(
+        "".join(f"{word}\n" for word in space.words), encoding="utf-8"
     )
+
+
+def load_space(directory: str | Path, name: str) -> EmbeddingSpace:
+    """Read the space that save_space wrote; files that do not agree raise
+    FormatError naming the file."""
+    directory = Path(directory)
+    vectors = _load_array(directory / f"{name}.npy")
+    path = directory / f"{name}.words.txt"
+    words = _read_lines(path)
+    if len(words) != len(vectors):
+        raise FormatError(f"{path} lists {len(words)} words for {len(vectors)} vectors")
     word_ids = {w: i for i, w in enumerate(words)}
     if len(word_ids) != len(words):
-        raise FormatError(f"duplicate word in vector file {path}")
-    return EmbeddingSpace(words=words, word_ids=word_ids, vectors=rows)
+        raise FormatError(f"duplicate word in {path}")
+    return EmbeddingSpace(words=words, word_ids=word_ids, vectors=vectors)

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,11 +15,11 @@ from lscd.context import (
     UseSet,
     _sgd_update,
     classifier_loss_and_grads,
-    export_uses,
     extract_uses,
-    import_uses,
     load_classifier,
+    load_uses,
     save_classifier,
+    save_uses,
     train_time_classifier,
 )
 from lscd.corpus import T1, T2, TEST, Corpus, TimeClfDataset, build_clf_dataset, encode
@@ -65,10 +66,10 @@ def small_model(seed=0, dimension=6, radius=2) -> TimeClassifier:
     return model
 
 
-def densify(model: TimeClassifier, ids, sparse_rows) -> np.ndarray:
+def densify(model: TimeClassifier, ids, row_grads) -> np.ndarray:
     """The per-token embedding gradient as a dense vocabulary-sized array."""
     dense = np.zeros_like(model.embeddings)
-    np.add.at(dense, ids, sparse_rows)
+    np.add.at(dense, ids, row_grads)
     return dense
 
 
@@ -477,102 +478,105 @@ class TestExtraction:
 
 
 class TestUseSetTsv:
+    """save_uses/load_uses: `uses_<period>.npy` plus the index TSV
+    `uses_<period>.index.tsv`, the files the uses stage hands to scores."""
+
     def make_uses(self):
         rng = np.random.default_rng(3)
         return [
             UseSet("alpha", T1, rng.standard_normal((3, 4)), [0, 4, 9]),
-            UseSet("alpha", T2, rng.standard_normal((2, 4)), [1, 2]),
+            UseSet("none", T1, np.empty((0, 4)), []),
             UseSet("beta", T1, rng.standard_normal((1, 4)), [5]),
         ]
 
+    def write_index(self, tmp_path, text, rows=2):
+        np.save(tmp_path / f"uses_{T1}.npy", np.ones((rows, 2)))
+        (tmp_path / f"uses_{T1}.index.tsv").write_text(text, encoding="utf-8")
+
     def test_roundtrip_groups_by_word_and_period(self, tmp_path):
-        uses = self.make_uses()
-        path = tmp_path / "uses.tsv"
-        export_uses(uses, path)
-        again = import_uses(path)
-        assert [(u.word, u.period, len(u.vectors)) for u in again] == [
-            ("alpha", T1, 3),
-            ("alpha", T2, 2),
-            ("beta", T1, 1),
+        save_uses(self.make_uses(), tmp_path, T1)
+        again = load_uses(tmp_path, T1)
+        assert [(u.word, u.period, u.vectors.shape) for u in again] == [
+            ("alpha", T1, (3, 4)),
+            ("none", T1, (0, 4)),
+            ("beta", T1, (1, 4)),
         ]
-        assert again[0].sentence_indices == [0, 4, 9]
+        assert [u.sentence_indices for u in again] == [[0, 4, 9], [], [5]]
 
-    def test_two_rows_same_word_period_one_set(self, tmp_path):
-        path = tmp_path / "uses.tsv"
-        path.write_text(
-            "word\tt1\t0\t1 2\nword\tt1\t3\t4 5\n", encoding="utf-8"
-        )
-        sets = import_uses(path)
-        assert len(sets) == 1
-        assert sets[0].vectors.shape == (2, 2)
-
-    def test_serialization_is_fixed_point(self, tmp_path):
-        uses = self.make_uses()
-        first = tmp_path / "a.tsv"
-        second = tmp_path / "b.tsv"
-        export_uses(uses, first)
-        export_uses(import_uses(first), second)
-        assert first.read_bytes() == second.read_bytes()
-
-    def test_values_roundtrip_at_9_digits(self, tmp_path):
-        uses = self.make_uses()
-        path = tmp_path / "uses.tsv"
-        export_uses(uses, path)
-        again = {(u.word, u.period): u for u in import_uses(path)}
-        for u in uses:
-            got = again[(u.word, u.period)].vectors
-            assert np.abs(got - u.vectors).max() <= 1e-8 * np.abs(u.vectors).max()
-
-    def test_rows_match_per_value_formatting(self, tmp_path):
-        rng = np.random.default_rng(19)
-        vectors = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-300, 300, (4, 5))
-        vectors[0] = [0.0, -0.0, 1e308, -5e-324, 2.2e-310]
-        path = tmp_path / "uses.tsv"
-        export_uses([UseSet("w", T2, vectors, [3, 1, 4, 1])], path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        for si, row, line in zip([3, 1, 4, 1], vectors, lines):
-            assert line == f"w\t{T2}\t{si}\t" + " ".join(format(x, ".9g") for x in row)
-
-    def test_import_bit_identical_to_per_value_float(self, tmp_path):
+    def test_values_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(23)
         vectors = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7))
         vectors[0] = [0.0, -0.0, 1e308, -5e-324, 2.2e-310, np.inf, -np.inf]
         uses = [
-            UseSet("w", T1, vectors[:25], list(range(25))),
+            UseSet("w", T2, vectors[:25], list(range(25))),
             UseSet("v", T2, vectors[25:], list(range(15))),
         ]
-        path = tmp_path / "uses.tsv"
-        export_uses(uses, path)
-        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        path.write_text("\n" + "".join(lines[:10]) + "  \n" + "".join(lines[10:]), encoding="utf-8")
-        expected = np.array([[float(x) for x in line.split("\t")[3].split()] for line in lines])
-        got = np.concatenate([u.vectors for u in import_uses(path)])
+        save_uses(uses, str(tmp_path), T2)
+        got = np.concatenate([u.vectors for u in load_uses(str(tmp_path), T2)])
         assert got.dtype == np.float64
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+        assert np.array_equal(got.view(np.uint64), vectors.view(np.uint64))
+
+    def test_empty_list_roundtrip(self, tmp_path):
+        save_uses([], tmp_path, T2)
+        assert load_uses(tmp_path, T2) == []
+
+    def test_two_rows_same_word_period_one_set(self, tmp_path):
+        self.write_index(tmp_path, "word\t2\t0 3\n")
+        (only,) = load_uses(tmp_path, T1)
+        assert (only.word, only.period, only.vectors.shape) == ("word", T1, (2, 2))
+        assert only.sentence_indices == [0, 3]
+
+    def test_serialization_is_fixed_point(self, tmp_path):
+        first, second = tmp_path / "a", tmp_path / "b"
+        first.mkdir()
+        second.mkdir()
+        save_uses(self.make_uses(), first, T1)
+        save_uses(load_uses(first, T1), second, T1)
+        for name in (f"uses_{T1}.npy", f"uses_{T1}.index.tsv"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
 
     def test_bad_float_token_reports_line(self, tmp_path):
-        path = tmp_path / "uses.tsv"
-        path.write_text(
-            "word\tt1\t0\t1 2\n\nword\tt2\t1\t4 1.2.3\n", encoding="utf-8"
-        )
+        self.write_index(tmp_path, "word\t1\t0\nother\t1\t1.5\n")
         with pytest.raises(FormatError) as excinfo:
-            import_uses(path)
-        assert excinfo.value.line == 3
+            load_uses(tmp_path, T1)
+        assert excinfo.value.line == 2
 
-    def test_ragged_dimension_reports_line(self, tmp_path):
-        path = tmp_path / "uses.tsv"
-        path.write_text(
-            "word\tt1\t0\t1 2 3\nword\tt1\t1\t4 5\n", encoding="utf-8"
-        )
+    def test_count_disagrees_with_indices_reports_line(self, tmp_path):
+        self.write_index(tmp_path, "word\t1\t0\nother\t1\t1 2\n")
         with pytest.raises(FormatError) as excinfo:
-            import_uses(path)
+            load_uses(tmp_path, T1)
         assert excinfo.value.line == 2
 
     def test_malformed_row_rejected(self, tmp_path):
-        path = tmp_path / "uses.tsv"
-        path.write_text("word\tt9\t0\t1 2\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            import_uses(path)
+        self.write_index(tmp_path, "word\t2\n")
+        with pytest.raises(FormatError, match="malformed use-set index row"):
+            load_uses(tmp_path, T1)
+
+    @pytest.mark.parametrize("rows", [1, 3], ids=["fewer", "more"])
+    def test_row_count_mismatch(self, tmp_path, rows):
+        self.write_index(tmp_path, "word\t2\t0 3\n", rows=rows)
+        path = tmp_path / f"uses_{T1}.index.tsv"
+        with pytest.raises(FormatError, match=re.escape(f"{path} indexes 2 uses for {rows}")):
+            load_uses(tmp_path, T1)
+
+    @pytest.mark.parametrize(
+        "array",
+        [np.ones((2, 2), np.float32), np.ones(4)],
+        ids=["float32", "1-d"],
+    )
+    def test_non_float64_matrix_refused(self, tmp_path, array):
+        self.write_index(tmp_path, "word\t2\t0 3\n")
+        np.save(tmp_path / f"uses_{T1}.npy", array)
+        with pytest.raises(FormatError, match="not a float64 matrix"):
+            load_uses(tmp_path, T1)
+
+    def test_object_array_refused(self, tmp_path):
+        self.write_index(tmp_path, "word\t1\t0\n")
+        array = np.empty((1, 2), dtype=object)
+        array[0] = [1.0, 2.0]
+        np.save(tmp_path / f"uses_{T1}.npy", array, allow_pickle=True)
+        with pytest.raises(FormatError, match="corrupt array file"):
+            load_uses(tmp_path, T1)
 
     def test_classifier_persistence_roundtrip(self, tmp_path, rng):
         c1, c2 = marker_corpora(rng, n=150)

@@ -103,6 +103,12 @@ class TestEncode:
         enc = encode(iter([["x", "y"], [], ["y"]]))
         assert enc.decode() == [["x", "y"], [], ["y"]]
 
+    def test_equality_is_identity(self):
+        # Field-wise == would compare the id arrays and raise.
+        enc = encode([["a", "b"]])
+        assert (enc == encode([["a", "b"]])) is False
+        assert (enc == enc) is True
+
 
 class TestTargets:
     def test_order_preserved(self, tmp_path):

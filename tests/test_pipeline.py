@@ -17,7 +17,6 @@ import pytest
 import lscd
 from lscd.benchmark import generate_shift_benchmark, write_benchmark
 from lscd.cli import build_parser, main
-from lscd.context import export_uses
 from lscd.corpus import (
     T1,
     T2,
@@ -33,7 +32,7 @@ from lscd.pipeline import (
     derive_seed,
     load_config,
 )
-from lscd.sgns import save_vectors, train_sgns
+from lscd.sgns import train_sgns
 
 CONFIG_TEMPLATE = """
 [paths]
@@ -577,17 +576,36 @@ class TestArtifactHandoff:
         }
         for directory in old.values():
             directory.mkdir(parents=True)
+
+        def write_rows(path, labels, vectors, header=""):
+            # The text formats of that layout: a label, then 9-digit values.
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(header)
+                for label, row in zip(labels, vectors):
+                    fh.write(label + " ".join(format(x, ".9g") for x in row) + "\n")
+
         ((args, aligned),) = calls["align_spaces"]
-        for period, space in zip((T1, T2), args):
-            save_vectors(space, old["static"] / f"{period}.vec")
-        for period, space in ((T1, aligned.space_t1), (T2, aligned.space_t2)):
-            save_vectors(space, old["align"] / f"{period}.vec")
+        for directory, spaces in (
+            (old["static"], args),
+            (old["align"], (aligned.space_t1, aligned.space_t2)),
+        ):
+            for period, space in zip((T1, T2), spaces):
+                write_rows(
+                    directory / f"{period}.vec",
+                    [f"{w} " for w in space.words],
+                    space.vectors,
+                    header=f"{len(space.words)} {space.dimension}\n",
+                )
         np.savetxt(old["align"] / "rotation.tsv", aligned.rotation, "%.12g", "\t")
         (old["align"] / "shared_vocabulary.txt").write_text(
             "\n".join(aligned.shared_vocabulary) + "\n", encoding="utf-8"
         )
         for period, (_, sets) in zip((T1, T2), calls["extract_uses"]):
-            export_uses(sets, old["uses"] / f"uses_{period}.tsv")
+            write_rows(
+                old["uses"] / f"uses_{period}.tsv",
+                [f"{u.word}\t{period}\t{i}\t" for u in sets for i in u.sentence_indices],
+                [row for u in sets for row in u.vectors],
+            )
         for directory in old.values():
             (directory / ".complete").touch()
 
@@ -602,29 +620,38 @@ class TestArtifactHandoff:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "stage,name",
+        "stage,name,reader",
         [
-            ("align", f"{T1}.npy"),
-            ("align", f"{T2}.words.txt"),
-            ("uses", f"uses_{T1}.npy"),
-            ("uses", f"uses_{T2}.index.tsv"),
+            ("align", f"{T1}.npy", "scores"),
+            ("align", f"{T2}.words.txt", "scores"),
+            ("uses", f"uses_{T1}.npy", "scores"),
+            ("uses", f"uses_{T2}.index.tsv", "scores"),
+            ("clf-model", "model.npz", "uses"),
+            ("clf-model", "metrics.tsv", "ensemble"),
+            ("scores", "scores.tsv", "ensemble"),
         ],
     )
     def test_truncated_artifact_fails_naming_stage_and_file(
-        self, tmp_path, handoff, stage, name
+        self, tmp_path, handoff, stage, name, reader
     ):
         import shutil
 
         config, first, _, _ = handoff
         out = tmp_path / "out"
-        for upstream in ("ingest", "static", "align", "clf-dataset", "clf-model", "uses"):
-            shutil.copytree(first.stages[upstream].path, out / upstream / first.stages[upstream].key)
+        # Every stage up to `scores` is cached but `reader`, which reads the
+        # file cut in half.
+        for upstream in (
+            "ingest", "static", "align", "clf-dataset", "clf-model", "uses", "scores"
+        ):
+            if upstream != reader:
+                built = first.stages[upstream]
+                shutil.copytree(built.path, out / upstream / built.key)
         path = out / stage / first.stages[stage].key / name
         data = path.read_bytes()
         path.write_bytes(data[: len(data) // 2])
         with pytest.raises(StageError) as excinfo:
-            Pipeline(dataclasses.replace(config, output_dir=out)).score()
-        assert excinfo.value.stage == "scores"
+            Pipeline(dataclasses.replace(config, output_dir=out)).ensemble()
+        assert excinfo.value.stage == reader
         assert isinstance(excinfo.value.cause, FormatError)
         assert str(path) in str(excinfo.value)
 

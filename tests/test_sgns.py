@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,8 @@ from lscd.sgns import (
     _corpus_ids,
     _epoch_pairs,
     _scatter_add,
-    load_vectors,
-    save_vectors,
+    load_space,
+    save_space,
     sgns_step,
     sigmoid,
     train_sgns,
@@ -339,71 +341,79 @@ class TestScatterAdd:
             assert np.abs(got - want).max() <= 1e-12
 
 
+def space_of(words, vectors):
+    return EmbeddingSpace(
+        words=words, word_ids={w: i for i, w in enumerate(words)}, vectors=vectors
+    )
+
+
 class TestVectorFormat:
+    """save_space/load_space: `<name>.npy` plus `<name>.words.txt`, the
+    files the static and align stages hand downstream."""
+
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(17)
         corpus = random_corpus(rng, 20, vocab_size=10)
-        space = train_sgns(corpus, SgnsConfig(dimension=6, window=2, epochs=1, seed=4))
-        path = tmp_path / "vectors.vec"
-        save_vectors(space, path)
-        header = path.read_text(encoding="utf-8").splitlines()[0]
-        assert header == f"{len(space.words)} 6"
-        again = load_vectors(path)
+        trained = train_sgns(corpus, SgnsConfig(dimension=6, window=2, epochs=1, seed=4))
+        vectors = trained.vectors.copy()
+        vectors[0] = [0.0, -0.0, 1e308, -5e-324, np.inf, -np.inf]
+        space = space_of(trained.words, vectors)
+        save_space(space, tmp_path, "t1")
+        again = load_space(tmp_path, "t1")
         assert again.words == space.words
-        assert np.abs(again.vectors - space.vectors).max() <= 1e-9
-        # serialize -> parse -> serialize is a fixed point at 9 digits
-        save_vectors(again, tmp_path / "vectors2.vec")
-        assert (tmp_path / "vectors2.vec").read_bytes() == path.read_bytes()
+        assert again.word_ids == space.word_ids
+        assert again.vectors.dtype == np.float64
+        assert np.array_equal(again.vectors.view(np.uint64), vectors.view(np.uint64))
+        # saving what was loaded rewrites both files byte for byte
+        (tmp_path / "again").mkdir()
+        save_space(again, tmp_path / "again", "t1")
+        for name in ("t1.npy", "t1.words.txt"):
+            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
 
-    def test_rows_match_per_value_formatting(self, tmp_path):
-        rng = np.random.default_rng(18)
-        vectors = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-300, 300, (4, 5))
-        vectors[0] = [0.0, -0.0, 1e308, -5e-324, 0.1]
-        space = EmbeddingSpace(
-            words=list("abcd"), word_ids={w: i for i, w in enumerate("abcd")},
-            vectors=vectors,
-        )
-        save_vectors(space, tmp_path / "v.vec")
-        lines = (tmp_path / "v.vec").read_text(encoding="utf-8").splitlines()[1:]
-        for word, row, line in zip(space.words, vectors, lines):
-            assert line == word + " " + " ".join(format(x, ".9g") for x in row)
+    def test_empty_space_roundtrip(self, tmp_path):
+        save_space(space_of([], np.empty((0, 3))), str(tmp_path), "t2")
+        again = load_space(str(tmp_path), "t2")
+        assert again.words == []
+        assert again.vectors.shape == (0, 3)
 
     def test_bad_header(self, tmp_path):
-        path = tmp_path / "bad.vec"
-        path.write_text("not a header\nword 1.0\n", encoding="utf-8")
-        with pytest.raises(FormatError):
-            load_vectors(path)
+        save_space(space_of(["a"], np.ones((1, 2))), tmp_path, "t1")
+        path = tmp_path / "t1.npy"
+        path.write_bytes(b"\x93NUMPY" + b"\x00" * 40)
+        with pytest.raises(FormatError, match=re.escape(str(path))):
+            load_space(tmp_path, "t1")
 
-    def test_load_bit_identical_to_per_value_float(self, tmp_path):
-        rng = np.random.default_rng(19)
-        vectors = rng.standard_normal((30, 6)) * 10.0 ** rng.integers(-300, 300, (30, 6))
-        vectors[0] = [0.0, -0.0, 1e308, -5e-324, np.inf, -np.inf]
-        words = [f"w{i}" for i in range(30)]
-        space = EmbeddingSpace(
-            words=words, word_ids={w: i for i, w in enumerate(words)}, vectors=vectors
-        )
-        path = tmp_path / "v.vec"
-        save_vectors(space, path)
-        lines = path.read_text(encoding="utf-8").splitlines()[1:]
-        expected = np.array([[float(x) for x in line.split()[1:]] for line in lines])
-        got = load_vectors(path).vectors
-        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+    @pytest.mark.parametrize("words", [["a"], ["a", "b", "c"]], ids=["fewer", "more"])
+    def test_word_count_mismatch(self, tmp_path, words):
+        save_space(space_of(["a", "b"], np.ones((2, 2))), tmp_path, "t1")
+        path = tmp_path / "t1.words.txt"
+        path.write_text("".join(f"{w}\n" for w in words), encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path} lists {len(words)} words for 2")):
+            load_space(tmp_path, "t1")
+
+    def test_duplicate_word(self, tmp_path):
+        save_space(space_of(["a", "b"], np.ones((2, 2))), tmp_path, "t1")
+        (tmp_path / "t1.words.txt").write_text("a\na\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="duplicate word"):
+            load_space(tmp_path, "t1")
 
     @pytest.mark.parametrize(
-        "text, line",
-        [("3 2\na 1 2\nb 1 2\n", 4), ("2 2\na 1 2\nb 1 x\n", 3)],
-        ids=["truncated", "bad-number"],
+        "array",
+        [np.ones((2, 2), np.float32), np.ones((2, 2), np.int64), np.ones(2)],
+        ids=["float32", "int64", "1-d"],
     )
-    def test_bad_rows_report_line(self, tmp_path, text, line):
-        path = tmp_path / "bad.vec"
-        path.write_text(text, encoding="utf-8")
-        with pytest.raises(FormatError) as excinfo:
-            load_vectors(path)
-        assert excinfo.value.line == line
+    def test_non_float64_matrix_refused(self, tmp_path, array):
+        (tmp_path / "t1.words.txt").write_text("a\nb\n", encoding="utf-8")
+        np.save(tmp_path / "t1.npy", array)
+        with pytest.raises(FormatError, match="not a float64 matrix"):
+            load_space(tmp_path, "t1")
 
-    def test_ragged_row(self, tmp_path):
-        path = tmp_path / "bad.vec"
-        path.write_text("2 3\na 1 2 3\nb 1 2\n", encoding="utf-8")
-        with pytest.raises(FormatError) as excinfo:
-            load_vectors(path)
-        assert excinfo.value.line == 3
+    def test_object_array_refused(self, tmp_path):
+        (tmp_path / "t1.words.txt").write_text("a\n", encoding="utf-8")
+        array = np.empty((1, 1), dtype=object)
+        array[0, 0] = 1.0
+        np.save(tmp_path / "t1.npy", array, allow_pickle=True)
+        with pytest.raises(FormatError, match="corrupt array file"):
+            load_space(tmp_path, "t1")
+
+

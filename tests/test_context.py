@@ -503,7 +503,18 @@ class TestUseSetTsv:
         ]
         assert [u.sentence_indices for u in again] == [[0, 4, 9], [], [5]]
 
-    def test_values_roundtrip_bit_exact(self, tmp_path):
+    def test_values_roundtrip_at_9_digits(self, tmp_path):
+        uses = self.make_uses()
+        save_uses(uses, tmp_path, T1)
+        again = {(u.word, u.period): u for u in load_uses(tmp_path, T1)}
+        for u in uses:
+            got = again[(u.word, u.period)].vectors
+            if u.vectors.size:
+                assert np.abs(got - u.vectors).max() <= 1e-8 * np.abs(u.vectors).max()
+            # the array file keeps every bit, beyond the 9 digits asked for
+            assert np.array_equal(got.view(np.uint64), u.vectors.view(np.uint64))
+
+    def test_import_bit_identical_to_per_value_float(self, tmp_path):
         rng = np.random.default_rng(23)
         vectors = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7))
         vectors[0] = [0.0, -0.0, 1e308, -5e-324, 2.2e-310, np.inf, -np.inf]

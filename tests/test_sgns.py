@@ -355,20 +355,26 @@ class TestVectorFormat:
         rng = np.random.default_rng(17)
         corpus = random_corpus(rng, 20, vocab_size=10)
         trained = train_sgns(corpus, SgnsConfig(dimension=6, window=2, epochs=1, seed=4))
-        vectors = trained.vectors.copy()
-        vectors[0] = [0.0, -0.0, 1e308, -5e-324, np.inf, -np.inf]
-        space = space_of(trained.words, vectors)
+        space = space_of(trained.words, trained.vectors)
         save_space(space, tmp_path, "t1")
         again = load_space(tmp_path, "t1")
         assert again.words == space.words
         assert again.word_ids == space.word_ids
-        assert again.vectors.dtype == np.float64
-        assert np.array_equal(again.vectors.view(np.uint64), vectors.view(np.uint64))
+        assert np.array_equal(again.vectors, space.vectors)
         # saving what was loaded rewrites both files byte for byte
         (tmp_path / "again").mkdir()
         save_space(again, tmp_path / "again", "t1")
         for name in ("t1.npy", "t1.words.txt"):
             assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_load_bit_identical_to_per_value_float(self, tmp_path):
+        rng = np.random.default_rng(19)
+        vectors = rng.standard_normal((30, 6)) * 10.0 ** rng.integers(-300, 300, (30, 6))
+        vectors[0] = [0.0, -0.0, 1e308, -5e-324, np.inf, -np.inf]
+        save_space(space_of([f"w{i}" for i in range(30)], vectors), tmp_path, "v")
+        got = load_space(tmp_path, "v").vectors
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), vectors.view(np.uint64))
 
     def test_empty_space_roundtrip(self, tmp_path):
         save_space(space_of([], np.empty((0, 3))), str(tmp_path), "t2")

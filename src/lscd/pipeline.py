@@ -2,18 +2,19 @@
 caching, and the run manifest.
 
 Every stage writes its artifacts under ``output_dir/<stage>/<key>/`` where
-the key is a content hash over the stage's inputs (source file hashes,
-upstream stage keys, the relevant configuration values and the derived
-seed). A stage directory counts as valid only once its ``.complete``
-sentinel exists, so interrupted runs are rebuilt. Stages read their inputs
-back from the upstream artifact files, except for three in-memory memos of a
-run, each built once: the raw corpora, the SGNS corpora whose statistics
-`ingest` writes, and the classifier's dataset that `clf-dataset` writes. A
-stage whose upstream is cached builds the memo from the inputs, which with
-the configuration and seed fully determine it, so a cached and a freshly
-built upstream feed downstream stages identically. Spaces and use sets go
-between stages through save_space/load_space and save_uses/load_uses, as
-`.npy` arrays, which round-trip exactly.
+the key is a content hash over the stage's name, the package version and
+the stage's inputs (source file hashes, upstream stage keys, the relevant
+configuration values and the derived seed). A stage is built under
+``output_dir/.staging/`` and published by one rename, so a directory at a
+key exists only whole, and a cached one is never from other code. Stages
+read their inputs back from the upstream artifact files, except for three
+in-memory memos of a run, each built once: the raw corpora, the SGNS corpora
+whose statistics `ingest` writes, and the classifier's dataset that
+`clf-dataset` writes. A stage whose upstream is cached builds the memo from
+the inputs, which with the configuration and seed fully determine it, so a
+cached and a freshly built upstream feed downstream stages identically.
+Spaces and use sets go between stages through save_space/load_space and
+save_uses/load_uses, as `.npy` arrays, which round-trip exactly.
 """
 
 from __future__ import annotations
@@ -83,13 +84,9 @@ from .sgns import SgnsConfig, load_space, save_space, train_sgns
 ANSWER_DIR = "answers"
 MANIFEST_NAME = "manifest.json"
 RUN_SENTINEL = "run.complete"
+STAGING_DIR = ".staging"
 
 _FLOAT_FMT = ".9g"
-
-# The layout of the array artifacts that `static`, `align` and `uses` hand
-# downstream. It is part of those stages' keys, so an output_dir written in
-# another layout is rebuilt rather than misread; change it with the layout.
-_ARTIFACT_FORMAT = "npy-1"
 
 
 @dataclass
@@ -331,23 +328,28 @@ class Pipeline:
     def _ensure(self, name: str, payload: dict, build) -> StageResult:
         if name in self.stages:
             return self.stages[name]
-        key = _key_of(payload)
+        key = _key_of({**payload, "stage": name, "version": __version__})
         directory = self.cfg.output_dir / name / key
-        sentinel = directory / ".complete"
-        if sentinel.exists():
-            result = StageResult(name, key, directory, cached=True)
-        else:
-            if directory.exists():
-                shutil.rmtree(directory)
-            directory.mkdir(parents=True)
+        result = StageResult(name, key, directory, cached=directory.is_dir())
+        if not result.cached:
+            staging = self.cfg.output_dir / STAGING_DIR / f"{name}-{key}-{os.getpid()}"
+            # Left by a run killed under this pid, it is overwritten file by file.
+            staging.mkdir(parents=True, exist_ok=True)
             try:
-                build(directory)
+                build(staging)
+                directory.parent.mkdir(exist_ok=True)
+                try:
+                    os.rename(staging, directory)
+                except OSError:
+                    # Unless a concurrent run published the same bytes first.
+                    if not directory.is_dir():
+                        raise
             except StageError:
                 raise
             except Exception as exc:
                 raise StageError(name, exc) from exc
-            sentinel.touch()
-            result = StageResult(name, key, directory, cached=False)
+            finally:
+                shutil.rmtree(staging, ignore_errors=True)
         self.stages[name] = result
         return result
 
@@ -358,7 +360,6 @@ class Pipeline:
         threshold applied to them for the static branch."""
         cfg = self.cfg
         payload = {
-            "stage": "ingest",
             "corpus_t1": self._hash(cfg.corpus_t1),
             "corpus_t2": self._hash(cfg.corpus_t2),
             "targets": self._hash(cfg.targets),
@@ -386,8 +387,6 @@ class Pipeline:
         ingest = self.ingest()
         seeds = {p: derive_seed(cfg.seed, f"sgns-{p}") for p in (T1, T2)}
         payload = {
-            "stage": "static",
-            "format": _ARTIFACT_FORMAT,
             "ingest": ingest.key,
             "sgns": dataclasses.asdict(dataclasses.replace(cfg.sgns, seed=0)),
             "seeds": seeds,
@@ -415,7 +414,7 @@ class Pipeline:
                 _train_space(*job)
 
         static = self._ensure("static", payload, build)
-        # The static stage is complete even if the branch beside it failed.
+        # The static stage is published even if the branch beside it failed.
         if beside_errors:
             raise beside_errors[0]
         return static
@@ -424,8 +423,6 @@ class Pipeline:
         cfg = self.cfg
         static = self.train_static()
         payload = {
-            "stage": "align",
-            "format": _ARTIFACT_FORMAT,
             "static": static.key,
             "steps": list(cfg.align_steps),
         }
@@ -448,7 +445,6 @@ class Pipeline:
     def build_clf(self) -> StageResult:
         cfg = self.cfg
         payload = {
-            "stage": "clf-dataset",
             "corpus_t1": self._hash(cfg.corpus_t1),
             "corpus_t2": self._hash(cfg.corpus_t2),
             "masked": cfg.masked,
@@ -470,7 +466,6 @@ class Pipeline:
         dataset_stage = self.build_clf()
         seed = derive_seed(cfg.seed, "clf-train")
         payload = {
-            "stage": "clf-model",
             "dataset": dataset_stage.key,
             "corpus_t1": self._hash(cfg.corpus_t1),
             "corpus_t2": self._hash(cfg.corpus_t2),
@@ -510,8 +505,6 @@ class Pipeline:
         cfg = self.cfg
         model_stage = self.train_clf()
         payload = {
-            "stage": "uses",
-            "format": _ARTIFACT_FORMAT,
             "model": model_stage.key,
             "corpus_t1": self._hash(cfg.corpus_t1),
             "corpus_t2": self._hash(cfg.corpus_t2),
@@ -537,7 +530,6 @@ class Pipeline:
         align_stage = self.align()
         seed = derive_seed(cfg.seed, "mpe")
         payload = {
-            "stage": "scores",
             "align": align_stage.key,
             "uses": uses_stage.key,
             "targets": self._hash(cfg.targets),
@@ -571,14 +563,18 @@ class Pipeline:
         scores_stage = self.score()
         model_stage = self.train_clf()
         payload = {
-            "stage": "ensemble",
             "scores": scores_stage.key,
             "model": model_stage.key,
             "theta": cfg.theta,
         }
 
         def build(directory: Path):
-            by_model = read_scores_tsv(scores_stage.path / "scores.tsv")
+            path = scores_stage.path / "scores.tsv"
+            by_model = read_scores_tsv(path)
+            targets = sorted(load_targets(cfg.targets))
+            for model in (CONTEXT_FREE, CONTEXT_DEPENDENT):
+                if model not in by_model or sorted(by_model[model].targets) != targets:
+                    raise FormatError(f"{path} does not score the run's targets by {model}")
             cf = fill_unscorable(by_model[CONTEXT_FREE])
             cd = fill_unscorable(by_model[CONTEXT_DEPENDENT])
             r_cf = ranks_from_scores(cf)
@@ -632,7 +628,6 @@ class Pipeline:
             )
         ensemble_stage = self.ensemble()
         payload = {
-            "stage": "evaluate",
             "ensemble": ensemble_stage.key,
             "gold": self._hash(cfg.gold),
             "binary_gold": self._hash(cfg.binary_gold),
@@ -640,7 +635,8 @@ class Pipeline:
         }
 
         def build(directory: Path):
-            rankings = _read_rankings(ensemble_stage.path / "ranks.tsv")
+            targets = load_targets(cfg.targets)
+            rankings = _read_rankings(ensemble_stage.path / "ranks.tsv", targets)
             rows: list[tuple[str, str, float]] = []
             if cfg.gold is not None:
                 gold = load_gold(cfg.gold)
@@ -800,6 +796,9 @@ def _train_with_helper(pipeline: Pipeline, jobs: list, beside) -> list[Exception
         helper.join()
         reports.close()
         queue.close()
+        # A terminated helper leaves the stage it was building unpublished.
+        for leftover in (pipeline.cfg.output_dir / STAGING_DIR).glob(f"*-{helper.pid}"):
+            shutil.rmtree(leftover, ignore_errors=True)
 
 
 def _helper(pipeline: Pipeline, beside, jobs: list, queue, report) -> None:
@@ -849,14 +848,15 @@ def _read_metric(path: Path, name: str) -> float:
     raise FormatError(f"metric {name!r} not found in {path}")
 
 
-def _read_rankings(path: Path) -> dict[str, Ranking]:
+def _read_rankings(path: Path, targets: list[str]) -> dict[str, Ranking]:
     columns = {CONTEXT_FREE: {}, CONTEXT_DEPENDENT: {}, "ensemble": {}}
-    for line in _read_lines(path)[1:]:  # after the header
-        parts = line.split("\t")
-        word = parts[0]
-        columns[CONTEXT_FREE][word] = float(parts[1])
-        columns[CONTEXT_DEPENDENT][word] = float(parts[2])
-        columns["ensemble"][word] = float(parts[3])
-    return {
-        name: Ranking(ranks=ranks, source=name) for name, ranks in columns.items()
-    }
+    for i, line in enumerate(_read_lines(path)[1:], start=2):  # after the header
+        try:
+            word, *values, _ = line.split("\t")
+            for column, value in zip(columns.values(), values, strict=True):
+                column[word] = float(value)
+        except ValueError as exc:
+            raise FormatError(f"malformed ranks row in {path}", line=i) from exc
+    if sorted(columns["ensemble"]) != sorted(targets):
+        raise FormatError(f"{path} does not rank the run's targets")
+    return {name: Ranking(ranks=ranks, source=name) for name, ranks in columns.items()}

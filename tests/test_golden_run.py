@@ -3,7 +3,11 @@
 The sha256 of every answer file, the manifest and the artifacts that carry
 trained numbers are pinned. A change that is meant to leave the numbers
 alone (a faster encoding, a new data layout) must keep all of them; one that
-changes them on purpose updates the table and says why.
+changes them on purpose updates the table and says why. A change that
+re-records the hash of any artifact or answer file also bumps
+`lscd.__version__` (and the version in pyproject.toml with it): the version
+is part of every stage key, so output directories of the old code are
+rebuilt instead of served.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lscd
 from lscd.benchmark import generate_shift_benchmark, write_benchmark
 from lscd.pipeline import Pipeline, load_config
 
@@ -63,7 +68,7 @@ GOLDEN = {
     "answers/graded_context_dependent.tsv": "6fdab56f4a28da21a0aeece3f3f9c726fb9e5292cb68bf981b260d45609d1437",
     "answers/graded_context_free.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
     "answers/graded_ensemble.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
-    "manifest.json": "6014439baa66c4b5247c2959f6763ce32a969a8a61d3ec1f1263fd0f2c45d702",
+    "manifest.json": "f9c64e489ffe192dfe2554fc6f66f4633b1d208b79708632e978e8ff43207740",
     "clf-dataset/dataset.tsv": "b15136b5361d343514495ab95d232b5d16407025633c4951f8a9eaaced564e3a",
     "clf-dataset/meta.json": "aab095a66fc4e0cae9edfd1df867518815aeaffdfa0a8201039e28c0238e5ead",
     "clf-model/metrics.tsv": "b8a0644c246e9bbd580e88671041cb3e48a4311b54791b4a7829c1b59393c2bc",
@@ -115,3 +120,11 @@ def test_cold_run_byte_identical_to_golden(tmp_path, monkeypatch):
     # Relative paths keep the manifest free of the temporary directory.
     monkeypatch.chdir(tmp_path)
     assert run_digests() == GOLDEN
+
+
+def test_version_declared_once():
+    # Only lscd.__version__ reaches the stage keys; the package metadata
+    # must name the same version.
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from 3.11
+    with open(Path(__file__).parents[1] / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == lscd.__version__

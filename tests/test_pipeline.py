@@ -5,6 +5,7 @@ import json
 import os
 import pickle
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -80,6 +81,19 @@ FORK_MODULES = {
     "concurrent.futures.process",
 }
 SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(lscd.__file__).parents[1]))
+
+
+def cut(data: bytes, how: str) -> bytes:
+    """`data` cut in the middle of a line ("bytes"), after half its lines
+    ("lines") or before its last line ("last-line"), which both leave a file
+    that ends as a whole one does, or in the middle of its last line, with
+    the newline kept ("row": a malformed row)."""
+    lines = data.splitlines(keepends=True)
+    if how == "bytes":
+        return data[: len(data) // 2]
+    if how == "row":
+        return b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2] + b"\n"
+    return b"".join(lines[: len(lines) // 2 if how == "lines" else -1])
 
 
 def write_config(tmp_path: Path, bench: Path, extra: str = "") -> Path:
@@ -365,13 +379,14 @@ class TestPipelineRun:
 
     def test_interrupted_stage_rebuilt(self, run_dir):
         _, config_path, config, first = run_dir
-        # Simulate a partial write: remove the sentinel of a cheap stage.
+        # An interrupted build publishes nothing: no directory at the key.
         stage_dir = first.stages["ensemble"].path
-        (stage_dir / ".complete").unlink()
+        before = {p.name: p.read_bytes() for p in stage_dir.iterdir()}
+        shutil.rmtree(stage_dir)
         pipeline = Pipeline(load_config(config_path))
         pipeline.run_all()
         assert not pipeline.stages["ensemble"].cached
-        assert (stage_dir / ".complete").is_file()
+        assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
 
     def test_classifier_over_cached_dataset_unchanged(self, run_dir):
         # With `clf-dataset` cached, `clf-model` builds the dataset again
@@ -379,12 +394,30 @@ class TestPipelineRun:
         _, config_path, _, first = run_dir
         stage_dir = first.stages["clf-model"].path
         before = {p.name: p.read_bytes() for p in stage_dir.iterdir()}
-        (stage_dir / ".complete").unlink()
+        shutil.rmtree(stage_dir)
         pipeline = Pipeline(load_config(config_path))
         pipeline.train_clf()
         assert pipeline.stages["clf-dataset"].cached
         assert not pipeline.stages["clf-model"].cached
         assert {p.name: p.read_bytes() for p in stage_dir.iterdir()} == before
+
+    @pytest.mark.parametrize("how", ["lines", "last-line", "row"])
+    def test_cut_ranks_fail_evaluate_naming_file(self, tmp_path, run_dir, how):
+        _, _, config, first = run_dir
+        out = tmp_path / "out"
+        for name, built in first.stages.items():
+            if name != "evaluate":
+                shutil.copytree(built.path, out / name / built.key)
+        path = out / "ensemble" / first.stages["ensemble"].key / "ranks.tsv"
+        data = path.read_bytes()
+        path.write_bytes(cut(data, how))
+        with pytest.raises(StageError) as excinfo:
+            Pipeline(dataclasses.replace(config, output_dir=out)).evaluate()
+        assert excinfo.value.stage == "evaluate"
+        assert isinstance(excinfo.value.cause, FormatError)
+        assert str(path) in str(excinfo.value)
+        if how == "row":
+            assert excinfo.value.cause.line == data.count(b"\n")
 
 
 def assert_static_trained_on(static, config, corpora, tmp_path):
@@ -434,7 +467,7 @@ class TestStaticStage:
         assert stats["filtered_sentences_t1"] == filtered[0].sentence_count
         assert stats["filtered_sentences_t2"] == filtered[1].sentence_count
         # SGNS trains on the filtered corpora in memory; no copy is written.
-        assert sorted(p.name for p in ingest.path.iterdir()) == [".complete", "stats.json"]
+        assert sorted(p.name for p in ingest.path.iterdir()) == ["stats.json"]
 
     def test_one_core_trains_in_process(self, tmp_path, bench_dir, monkeypatch):
         import multiprocessing
@@ -558,13 +591,13 @@ class TestArtifactHandoff:
 
     def test_parent_text_artifacts_rebuilt_not_misread(self, tmp_path, handoff):
         # Before the array layout, these stages had the same payloads without
-        # the format tag and kept text files under those keys.
+        # the version and kept text files under those keys.
         import lscd.pipeline as pipeline_module
 
         config, first, calls, payloads = handoff
 
         def untagged_key(stage, **upstream):
-            payload = {k: v for k, v in payloads[stage].items() if k != "format"}
+            payload = {k: v for k, v in payloads[stage].items() if k != "version"}
             return pipeline_module._key_of({**payload, **upstream})
 
         static_key = untagged_key("static")
@@ -606,8 +639,6 @@ class TestArtifactHandoff:
                 [f"{u.word}\t{period}\t{i}\t" for u in sets for i in u.sentence_indices],
                 [row for u in sets for row in u.vectors],
             )
-        for directory in old.values():
-            (directory / ".complete").touch()
 
         pipeline = Pipeline(dataclasses.replace(config, output_dir=out))
         pipeline.score()
@@ -620,26 +651,29 @@ class TestArtifactHandoff:
         ).read_bytes()
 
     @pytest.mark.parametrize(
-        "stage,name,reader",
+        "stage,name,reader,how",
         [
-            ("align", f"{T1}.npy", "scores"),
-            ("align", f"{T2}.words.txt", "scores"),
-            ("uses", f"uses_{T1}.npy", "scores"),
-            ("uses", f"uses_{T2}.index.tsv", "scores"),
-            ("clf-model", "model.npz", "uses"),
-            ("clf-model", "metrics.tsv", "ensemble"),
-            ("scores", "scores.tsv", "ensemble"),
+            pytest.param(*case, id="-".join(case[:3] if case[3] == "bytes" else case))
+            for case in [
+                ("align", f"{T1}.npy", "scores", "bytes"),
+                ("align", f"{T2}.words.txt", "scores", "bytes"),
+                ("uses", f"uses_{T1}.npy", "scores", "bytes"),
+                ("uses", f"uses_{T2}.index.tsv", "scores", "bytes"),
+                ("clf-model", "model.npz", "uses", "bytes"),
+                ("clf-model", "metrics.tsv", "ensemble", "bytes"),
+                ("scores", "scores.tsv", "ensemble", "bytes"),
+                ("scores", "scores.tsv", "ensemble", "lines"),
+                ("scores", "scores.tsv", "ensemble", "last-line"),
+            ]
         ],
     )
     def test_truncated_artifact_fails_naming_stage_and_file(
-        self, tmp_path, handoff, stage, name, reader
+        self, tmp_path, handoff, stage, name, reader, how
     ):
-        import shutil
-
         config, first, _, _ = handoff
         out = tmp_path / "out"
         # Every stage up to `scores` is cached but `reader`, which reads the
-        # file cut in half.
+        # cut file.
         for upstream in (
             "ingest", "static", "align", "clf-dataset", "clf-model", "uses", "scores"
         ):
@@ -647,8 +681,7 @@ class TestArtifactHandoff:
                 built = first.stages[upstream]
                 shutil.copytree(built.path, out / upstream / built.key)
         path = out / stage / first.stages[stage].key / name
-        data = path.read_bytes()
-        path.write_bytes(data[: len(data) // 2])
+        path.write_bytes(cut(path.read_bytes(), how))
         with pytest.raises(StageError) as excinfo:
             Pipeline(dataclasses.replace(config, output_dir=out)).ensemble()
         assert excinfo.value.stage == reader
@@ -747,9 +780,9 @@ class TestPipelineErrors:
         with pytest.raises(StageError, match="ingest") as excinfo:
             pipeline.ingest()
         assert excinfo.value.stage == "ingest"
-        # no sentinel was written for the failed stage
-        stage_root = config.output_dir / "ingest"
-        assert not any(stage_root.rglob(".complete"))
+        # Nothing was published for the failed stage, and no staging copy is left.
+        assert not list(config.output_dir.glob("ingest/*"))
+        assert not list(config.output_dir.glob(".staging/*"))
 
     def test_empty_target_file_fails_in_ingest(self, tmp_path, bench_dir):
         # Before any model trains: no static stage directory is made.
@@ -780,7 +813,8 @@ class TestPipelineErrors:
         assert excinfo.value.stage == "static"
         assert isinstance(excinfo.value.cause, TrainingDivergedError)
         assert excinfo.value.cause.step == 7
-        assert not any((config.output_dir / "static").rglob(".complete"))
+        assert not list(config.output_dir.glob("static/*"))
+        assert not list(config.output_dir.glob(".staging/*"))
 
     # Each case runs `run_all` in its own process, under a timeout, so that
     # a deadlock between the static stage and its helper fails the test.
@@ -845,33 +879,130 @@ print(json.dumps(result))
                 proc.communicate()
                 pytest.fail(f"run_all with a {fault} failure hung")
         assert proc.returncode == 0, err
-        completed = {
-            p.parent.parent.name for p in (tmp_path / "out").rglob(".complete")
-        }
-        return json.loads(out.splitlines()[-1]), completed
+        # One name per published key directory, and per staging copy left.
+        published = sorted(p.parent.name for p in (tmp_path / "out").glob("*/*"))
+        return json.loads(out.splitlines()[-1]), published
 
     def test_helper_classifier_failure_surfaces_after_static(self, tmp_path, bench_dir):
-        result, completed = self.run_fault(tmp_path, bench_dir, "classifier")
+        result, published = self.run_fault(tmp_path, bench_dir, "classifier")
         assert result["stage"] == "clf-model"
         assert result["cause"] == "DatasetError"
         assert result["message"] == "injected classifier failure"
         assert result["helper_forked"] and not result["helper_alive"]
         # The static stage, trained beside the failed branch, is kept.
-        assert completed == {"ingest", "clf-dataset", "static"}
+        assert published == ["clf-dataset", "ingest", "static"]
 
     def test_caller_t1_failure_stops_busy_helper(self, tmp_path, bench_dir):
-        result, completed = self.run_fault(tmp_path, bench_dir, "t1")
+        result, published = self.run_fault(tmp_path, bench_dir, "t1")
         assert result["stage"] == "static"
         assert result["cause"] == "TrainingDivergedError"
         assert result["message"] == "injected t1 failure"
         assert result["helper_forked"] and not result["helper_alive"]
-        assert completed == {"ingest", "clf-dataset"}
+        # Neither the helper's clf-model nor the static stage left a copy.
+        assert published == ["clf-dataset", "ingest"]
 
     def test_evaluate_without_gold_rejected(self, tmp_path, bench_dir):
         config_path = write_config(tmp_path, bench_dir)
         config = load_config(config_path, overrides={"gold": None, "binary_gold": None})
         with pytest.raises(StageError, match="evaluate"):
             Pipeline(config).evaluate()
+
+
+class TestStagePublish:
+    # Each process waits inside the build until both are there, so both build
+    # the stage and one of them finds it published when it renames its copy.
+    RACE_SCRIPT = """
+import os, sys, time
+from lscd.pipeline import Pipeline, load_config
+
+config_path, barrier = sys.argv[1:]
+ingested = Pipeline._ingested
+
+def waiting(self):
+    open(os.path.join(barrier, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + 30
+    while len(os.listdir(barrier)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return ingested(self)
+
+Pipeline._ingested = waiting
+print(Pipeline(load_config(config_path)).ingest().cached)
+"""
+
+    def test_concurrent_builds_publish_one_directory(self, tmp_path, bench_dir):
+        config_path = write_config(tmp_path, bench_dir)
+        barrier = tmp_path / "barrier"
+        barrier.mkdir()
+        argv = [sys.executable, "-c", self.RACE_SCRIPT, str(config_path), str(barrier)]
+        procs = [
+            subprocess.Popen(argv, env=SRC_ENV, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        try:
+            results = [proc.communicate(timeout=60) for proc in procs]
+        finally:
+            for proc in procs:
+                proc.kill()
+        for proc, (out, err) in zip(procs, results):
+            assert proc.returncode == 0, err
+            assert out.split() == ["False"]  # each process built the stage
+        assert len(os.listdir(barrier)) == 2
+        out = tmp_path / "out"
+        (published,) = (out / "ingest").iterdir()
+        assert not list((out / ".staging").iterdir())
+        alone = Pipeline(
+            load_config(config_path, overrides={"output_dir": tmp_path / "alone"})
+        ).ingest()
+        assert published.name == alone.key
+        assert sorted(p.name for p in published.iterdir()) == ["stats.json"]
+        assert (published / "stats.json").read_bytes() == (
+            alone.path / "stats.json"
+        ).read_bytes()
+
+    def test_failed_build_publishes_nothing_and_reruns(
+        self, tmp_path, bench_dir, monkeypatch
+    ):
+        import lscd.pipeline as pipeline_module
+
+        write_dataset_tsv = pipeline_module.write_dataset_tsv
+
+        def write_then_fail(dataset, path):
+            write_dataset_tsv(dataset, path)
+            raise OSError("injected write failure")
+
+        config = load_config(write_config(tmp_path, bench_dir))
+        monkeypatch.setattr(pipeline_module, "write_dataset_tsv", write_then_fail)
+        with pytest.raises(StageError, match="injected write failure") as excinfo:
+            Pipeline(config).build_clf()
+        assert excinfo.value.stage == "clf-dataset"
+        assert not list(config.output_dir.glob("clf-dataset/*"))
+        assert not list(config.output_dir.glob(".staging/*"))
+
+        monkeypatch.undo()
+        rebuilt = Pipeline(config).build_clf()
+        assert not rebuilt.cached
+        assert sorted(p.name for p in rebuilt.path.iterdir()) == ["dataset.tsv", "meta.json"]
+
+    def test_version_changes_every_key_and_no_artifact(
+        self, tmp_path, run_dir, monkeypatch
+    ):
+        import lscd.pipeline as pipeline_module
+
+        _, _, config, first = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(config.output_dir, out)  # every stage of the old version
+        monkeypatch.setattr(pipeline_module, "__version__", "0.0.0+other")
+        pipeline = Pipeline(dataclasses.replace(config, output_dir=out))
+        pipeline.run_all()
+        assert set(pipeline.stages) == set(first.stages)
+        for name, stage in pipeline.stages.items():
+            old = first.stages[name]
+            assert not stage.cached and stage.key != old.key
+            assert (out / name / old.key).is_dir()  # kept, neither served nor overwritten
+            assert {p.name: p.read_bytes() for p in stage.path.iterdir()} == {
+                p.name: p.read_bytes() for p in old.path.iterdir()
+            }
 
 
 class TestCli:

@@ -191,13 +191,25 @@ def apply_threshold(
         return corpus
     exempt = set(targets)
     enc = corpus.encoded
-    keep = np.array(
-        [w in exempt or vocab.total_count(w) >= threshold for w in enc.words], dtype=bool
-    )[enc.ids]
-    # Sentence i keeps the tokens between bounds[i] and bounds[i + 1].
+    # A word absent from `vocab` looks up the appended count 0.
+    totals = np.append(vocab.count_t1 + vocab.count_t2, 0)
+    rows = [vocab.word_ids.get(w, -1) for w in enc.words]
+    keep_word = totals[np.array(rows, dtype=np.int64)] >= threshold
+    keep_word[[i for i, w in enumerate(enc.words) if w in exempt]] = True
+    keep = keep_word[enc.ids]
+    kept = enc.ids[keep]
+    # The corpus's ids follow first occurrence (encode), and so do the kept
+    # words' ids: renumbering them in order keeps what encode would give.
+    present = np.flatnonzero(np.bincount(kept, minlength=len(enc.words)))
+    renumber = np.zeros(len(enc.words), dtype=np.int32)
+    renumber[present] = np.arange(len(present))
+    # Sentence i keeps the tokens between bounds[i] and bounds[i + 1]; an
+    # emptied sentence repeats a bound, and np.unique drops it.
     bounds = np.r_[0, np.cumsum(keep)][enc.offsets]
-    kept = Encoded(enc.ids[keep], bounds, enc.words).decode()
-    return Corpus(filter(None, kept), corpus.period)
+    words = [enc.words[i] for i in present.tolist()]
+    filtered = Corpus((), corpus.period)
+    filtered.encoded = Encoded(renumber[kept], np.unique(bounds), words)
+    return filtered
 
 
 def corpus_unique_tokens(corpus_t1: Corpus, corpus_t2: Corpus) -> set[str]:

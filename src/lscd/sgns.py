@@ -10,12 +10,11 @@ context) pairs; the procedure is deterministic given the seed.
 
 Training reads the corpus in its flat form (`Corpus.encoded`): one id array
 over all sentences and the sentence offsets into it, renumbered so that id 0
-is the most frequent word. Each epoch's pairs are built as whole arrays over
-it: one mask column per window offset keeps a pair when both positions lie
-in the same sentence and the offset is within the center's sampled span;
-without subsampling, one draw gives every token's span. A chunk's updates
-are summed per row in pair order (context words before negatives) and then
-added to the matrices.
+is the most frequent word. An epoch draws every token's span, counts its
+pairs in closed form from that span and its place in the sentence, shuffles
+the pair indices and lists the pairs one block at a time: no array holds all
+of an epoch's pairs. A chunk's updates are summed per row in pair order
+(context words before negatives) and then added to the matrices.
 
 One function, `_chunk_update`, computes the loss and the gradients: training
 calls it once per chunk, and `sgns_step`, which the gradient checks test, is
@@ -33,6 +32,7 @@ from .corpus import Corpus, _load_array, _read_lines
 from .errors import EmptyCorpusError, FormatError, TrainingDivergedError, VocabularyError
 
 _CHUNK = 512
+_BLOCK = 128 * _CHUNK  # pairs listed at once; a multiple of _CHUNK
 _LR_FLOOR_FACTOR = 1e-4
 
 
@@ -171,11 +171,12 @@ def _corpus_ids(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, list[str], np.n
 
 def _epoch_pairs(
     ids: np.ndarray, offsets: np.ndarray, window: int, rng, keep_prob
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sample dynamic windows over every sentence of the flat `ids`
-    (sentence i is ids[offsets[i]:offsets[i + 1]]) and emit (center,
-    context) id pairs for one epoch, ordered by center position, then
-    context position."""
+    (sentence i is ids[offsets[i]:offsets[i + 1]]) and count one epoch's
+    pairs. Returns the kept tokens' ids, how many contexts each takes from
+    its left, and `first`: token c's pairs are first[c]:first[c + 1], its
+    left contexts then its right ones, in corpus order (see _list_pairs)."""
     lengths = np.diff(offsets)
     if keep_prob is None:
         # Sentences of fewer than two tokens draw no span. One draw for all
@@ -195,22 +196,20 @@ def _epoch_pairs(
                 spans.append(rng.integers(1, window + 1, size=len(sentence)))
         ids, span = np.concatenate(kept), np.concatenate(spans)
         lengths = np.array([len(k) for k in kept[1:]], dtype=np.int64)
-    if not len(ids):
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    first = np.repeat(np.cumsum(lengths) - lengths, lengths)
-    end = first + np.repeat(lengths, lengths)
-    # One column per offset, in ascending order, so the row-major mask keeps
-    # each center's contexts in corpus order. No pair spans more than the
-    # longest sentence, which bounds the mask for any window.
-    reach = min(window, int(lengths.max()) - 1)
-    shifts = np.r_[-reach:0, 1 : reach + 1]
-    ctx = np.arange(len(ids))[:, None] + shifts
-    keep = (
-        (ctx >= first[:, None])
-        & (ctx < end[:, None])
-        & (span[:, None] >= np.abs(shifts))
-    )
-    return ids[np.nonzero(keep)[0]], ids[ctx[keep]]
+    position = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    left = np.minimum(span, position)
+    right = np.minimum(span, np.repeat(lengths, lengths) - 1 - position)
+    return ids, left, np.r_[0, np.cumsum(left + right)]
+
+
+def _list_pairs(tokens, left, first, center_of, p) -> tuple[np.ndarray, np.ndarray]:
+    """The (center, context) ids of pairs p, from _epoch_pairs' arrays and
+    center_of, the token of every pair. Ranked from a center's nearest right
+    context (0) and back from its left (< 0), its rank-th context is at
+    position center + rank + (rank >= 0)."""
+    c = center_of[p]
+    rank = p - first[c] - left[c]
+    return tokens[c], tokens[c + rank + (rank >= 0)]
 
 
 def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
@@ -262,27 +261,25 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     losses: list[float] = []
     step = 0
     for epoch in range(config.epochs):
-        centers, contexts = _epoch_pairs(ids, offsets, config.window, rng, keep_prob)
-        n_pairs = len(centers)
+        tokens, left, first = _epoch_pairs(ids, offsets, config.window, rng, keep_prob)
+        n_pairs = int(first[-1])
         if n_pairs == 0:
             losses.append(0.0)
             continue
         # Shuffling spreads repeated pairs across update chunks, keeping the
         # summed within-chunk step close to the sequential one.
         order = rng.permutation(n_pairs)
-        centers = centers[order]
-        contexts = contexts[order]
-        # No other draw falls between the chunks, so one draw for the epoch
-        # gives every chunk the negatives that a draw per chunk would.
-        draws = rng.random((n_pairs, k))
+        center_of = np.repeat(np.arange(len(tokens), dtype=np.int32), np.diff(first))
         epoch_loss = 0.0
         for start in range(0, n_pairs, _CHUNK):
             step += 1
-            cen = centers[start : start + _CHUNK]
-            ctx = contexts[start : start + _CHUNK]
-            negs = np.searchsorted(
-                noise_cdf, draws[start : start + _CHUNK], side="right"
-            )
+            if start % _BLOCK == 0:
+                centers, contexts = _list_pairs(
+                    tokens, left, first, center_of, order[start : start + _BLOCK]
+                )
+            cen = centers[start % _BLOCK :][:_CHUNK]
+            ctx = contexts[start % _BLOCK :][:_CHUNK]
+            negs = np.searchsorted(noise_cdf, rng.random((len(cen), k)), side="right")
             progress = (epoch + start / n_pairs) / config.epochs
             lr = max(lr0 * (1.0 - progress), lr_floor)
 
@@ -306,7 +303,7 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             _scatter_add(weights, rows, out)
         losses.append(epoch_loss / n_pairs)
         # Freed before the next epoch builds its own.
-        del centers, contexts, order, draws
+        del tokens, left, first, order, center_of, centers, contexts
 
     if not np.isfinite(weights).all():
         raise TrainingDivergedError("non-finite values in trained matrices", step=step)

@@ -14,6 +14,7 @@ from lscd.corpus import (
     TEST,
     TRAIN,
     Corpus,
+    Encoded,
     TimeClfDataset,
     apply_threshold,
     build_clf_dataset,
@@ -142,7 +143,45 @@ class TestFrequencyThreshold:
             frequency_threshold(-1)
 
 
+def threshold_round_trip(corpus, vocab, threshold, targets):
+    """Reference: decode the kept ids to token lists, drop the emptied
+    sentences and encode the rest again."""
+    exempt = set(targets)
+    enc = corpus.encoded
+    keep = np.array(
+        [w in exempt or vocab.total_count(w) >= threshold for w in enc.words], dtype=bool
+    )[enc.ids]
+    bounds = np.r_[0, np.cumsum(keep)][enc.offsets]
+    return encode(filter(None, Encoded(enc.ids[keep], bounds, enc.words).decode()))
+
+
 class TestApplyThreshold:
+    def test_matches_token_list_round_trip(self):
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            vocab_size = int(rng.integers(1, 20))
+            words = [f"w{i}" for i in range(vocab_size)]
+            lengths = rng.integers(0, 9, size=int(rng.integers(0, 30)))
+            # Skewed draws, so that thresholds split frequent from rare words.
+            p = 1.0 / np.arange(1, vocab_size + 1)
+            draws = [rng.choice(vocab_size, size=n, p=p / p.sum()) for n in lengths]
+            sentences = [[words[i] for i in d] for d in draws]
+            corpus = Corpus(sentences, T1)
+            # Every third vocabulary comes from other corpora, so that some
+            # of this corpus's words are absent from it.
+            other = Corpus(random_sentences(rng, 10, vocab_size=8), T2)
+            vocab = build_vocabulary(corpus if trial % 3 else other, other)
+            threshold = int(rng.integers(1, 12))
+            picks = rng.integers(0, vocab_size + 1, size=int(rng.integers(0, 4)))
+            targets = [(words + ["absent"])[i] for i in picks]
+            got = apply_threshold(corpus, vocab, threshold, targets).encoded
+            want = threshold_round_trip(corpus, vocab, threshold, targets)
+            assert got.words == want.words
+            assert got.ids.dtype == want.ids.dtype == np.int32
+            assert np.array_equal(got.ids, want.ids)
+            assert got.offsets.dtype == want.offsets.dtype == np.int64
+            assert np.array_equal(got.offsets, want.offsets)
+
     def _vocab(self, *corpora):
         c1 = corpora[0]
         c2 = corpora[1] if len(corpora) > 1 else Corpus([["x"]], T2)

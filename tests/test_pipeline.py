@@ -744,7 +744,8 @@ class TestCorpusMemo:
             monkeypatch.setattr(
                 os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False
             )
-            # Unmasked, the dataset shares the corpus's sentence lists.
+            # Unmasked, the dataset keeps the corpora's words, but in id arrays
+            # of its own; the corpora must come out of the run unmodified.
             config = load_config(
                 write_config(run_dir, bench_dir), overrides={"masked": False}
             )

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import lscd.sgns as sgns_module
+from lscd.benchmark import generate_shift_benchmark
 from lscd.corpus import T1, Corpus
 from lscd.errors import EmptyCorpusError, FormatError
 from lscd.sgns import (
+    _BLOCK,
     _CHUNK,
     _LR_FLOOR_FACTOR,
     EmbeddingSpace,
@@ -15,6 +19,7 @@ from lscd.sgns import (
     _chunk_update,
     _corpus_ids,
     _epoch_pairs,
+    _list_pairs,
     _scatter_add,
     load_space,
     save_space,
@@ -120,9 +125,17 @@ class TestGradients:
         assert abs(out[2] - 0.5) <= 1e-15
 
 
+def all_pairs(tokens, left, first) -> tuple[np.ndarray, np.ndarray]:
+    """Every (center, context) pair of one epoch, in pair order, listed by
+    the trainer's own `_list_pairs`."""
+    center_of = np.repeat(np.arange(len(tokens), dtype=np.int32), np.diff(first))
+    return _list_pairs(tokens, left, first, center_of, np.arange(first[-1]))
+
+
 def mirror_train(corpus: Corpus, config: SgnsConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Reference trainer: identical RNG recipe, but per-pair sgns_step calls
-    accumulated in plain Python instead of the vectorized chunk update."""
+    """Reference trainer: identical RNG recipe, but the epoch's pairs listed
+    whole and permuted, and per-pair sgns_step calls accumulated in plain
+    Python instead of the vectorized chunk update."""
     ids, offsets, words, freq = _corpus_ids(corpus)
     d = config.dimension
     rng = np.random.default_rng(config.seed)
@@ -132,7 +145,7 @@ def mirror_train(corpus: Corpus, config: SgnsConfig) -> tuple[np.ndarray, np.nda
     noise_cdf /= noise_cdf[-1]
     lr0 = config.initial_learning_rate
     for epoch in range(config.epochs):
-        centers, contexts = _epoch_pairs(ids, offsets, config.window, rng, None)
+        centers, contexts = all_pairs(*_epoch_pairs(ids, offsets, config.window, rng, None))
         n_pairs = len(centers)
         order = rng.permutation(n_pairs)
         centers = centers[order]
@@ -246,6 +259,42 @@ class TestTraining:
         with pytest.raises(EmptyCorpusError):
             train_sgns(Corpus([], T1), SgnsConfig(dimension=4))
 
+    @pytest.mark.parametrize("block", [_CHUNK, 3 * _CHUNK])
+    def test_block_size_changes_nothing(self, monkeypatch, block):
+        # About 14.3 chunks of pairs per epoch: 5 blocks of 3 chunks, the
+        # last one partial.
+        rng = np.random.default_rng(16)
+        corpus = random_corpus(rng, 300, vocab_size=30, min_len=3, max_len=12)
+        config = SgnsConfig(dimension=6, window=3, negatives=2, epochs=2, seed=4)
+        want = train_sgns(corpus, config)
+        monkeypatch.setattr(sgns_module, "_BLOCK", block)
+        got = train_sgns(corpus, config)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert np.array_equal(got.context_vectors, want.context_vectors)
+        assert got.epoch_losses == want.epoch_losses
+
+    def test_epoch_memory_bounded_by_block(self):
+        # One epoch over a gen-bench corpus of about 194k tokens (1.26M
+        # pairs at window 10). The shuffled pair indices (int64) and each
+        # pair's center (int32) take 12 B per pair; the rest must be per
+        # token or per block. Measured: 32 B per token plus 55 B per block
+        # pair; listing the epoch's pairs whole took 2.4 times this bound.
+        bench = generate_shift_benchmark(8, None, 20000, seed=7)
+        corpus = Corpus(bench.sentences_t1, T1)
+        del bench
+        n_tokens = len(corpus.encoded.ids)
+        ids, offsets, _, _ = _corpus_ids(corpus)
+        _, _, first = _epoch_pairs(ids, offsets, 10, np.random.default_rng(3), None)
+        n_pairs = int(first[-1])
+        assert n_pairs > 10 * _BLOCK
+        tracemalloc.start()
+        try:
+            train_sgns(corpus, SgnsConfig(dimension=8, window=10, epochs=1, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * n_pairs + 48 * n_tokens + 96 * _BLOCK
+
     def test_subsampling_smoke(self):
         rng = np.random.default_rng(15)
         sentences = [["the"] + s for s in random_corpus(rng, 50, vocab_size=10).sentences]
@@ -314,7 +363,7 @@ class TestEpochPairs:
             keep_prob = rng.random(vocab) if subsample else None
             got_rng = np.random.default_rng(trial)
             want_rng = np.random.default_rng(trial)
-            got = _epoch_pairs(ids, offsets, window, got_rng, keep_prob)
+            got = all_pairs(*_epoch_pairs(ids, offsets, window, got_rng, keep_prob))
             want = reference_epoch_pairs(encoded, window, want_rng, keep_prob)
             for g, w in zip(got, want):
                 assert g.dtype == np.int64

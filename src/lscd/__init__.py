@@ -32,7 +32,7 @@ from .ensemble import (
     ranks_from_scores,
     theta_from_accuracy,
 )
-from .evaluate import GoldData, binary_accuracy, load_gold, spearman
+from .evaluate import binary_accuracy, load_gold, spearman
 from .scoring import ChangeScores, contextual_score, mpe_distance, static_score
 from .sgns import EmbeddingSpace, SgnsConfig, load_space, save_space, train_sgns
 

@@ -16,8 +16,6 @@ import numpy as np
 from .errors import UnderdeterminedError, ZeroNormError
 from .sgns import EmbeddingSpace
 
-DEFAULT_PREPROCESSING = ("normalize", "center")
-
 
 @dataclass
 class AlignedPair:
@@ -69,22 +67,6 @@ def mean_center(space: EmbeddingSpace) -> EmbeddingSpace:
     return _with_vectors(space, vectors)
 
 
-def preprocess(
-    space: EmbeddingSpace,
-    steps: tuple[str, ...] = DEFAULT_PREPROCESSING,
-    required: list[str] | tuple[str, ...] = (),
-) -> EmbeddingSpace:
-    """Apply the configured preprocessing chain (default: normalize, center)."""
-    for step in steps:
-        if step == "normalize":
-            space = length_normalize(space, required=required)
-        elif step == "center":
-            space = mean_center(space)
-        else:
-            raise ValueError(f"unknown preprocessing step {step!r}")
-    return space
-
-
 def procrustes_rotation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Orthogonal matrix W minimizing ||a @ W - b||_F for paired rows a, b.
 
@@ -123,15 +105,12 @@ def procrustes(space_t1: EmbeddingSpace, space_t2: EmbeddingSpace) -> AlignedPai
     )
 
 
-def align(
-    space_t1: EmbeddingSpace,
-    space_t2: EmbeddingSpace,
-    steps: tuple[str, ...] = DEFAULT_PREPROCESSING,
-) -> AlignedPair:
-    """Preprocess both spaces, then fit the rotation on their intersection."""
+def align(space_t1: EmbeddingSpace, space_t2: EmbeddingSpace) -> AlignedPair:
+    """Length-normalize, then mean-center both spaces, and fit the rotation
+    on their intersection."""
     shared = shared_vocabulary(space_t1, space_t2)
-    s1 = preprocess(space_t1, steps, required=shared)
-    s2 = preprocess(space_t2, steps, required=shared)
+    s1 = mean_center(length_normalize(space_t1, required=shared))
+    s2 = mean_center(length_normalize(space_t2, required=shared))
     return procrustes(s1, s2)
 
 

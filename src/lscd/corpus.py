@@ -336,13 +336,6 @@ def _check_balance(dataset: TimeClfDataset) -> None:
             )
 
 
-def write_dataset_tsv(dataset: TimeClfDataset, path: str | Path) -> None:
-    """Debug export: one example per line as label, split, sentence."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (tokens, label), split in zip(dataset.examples, dataset.splits):
-            fh.write(f"{label}\t{split}\t{' '.join(tokens)}\n")
-
-
 def _load_array(path: Path) -> np.ndarray:
     """The float64 matrix in the `.npy` file `path`, read without pickle
     support; any other content raises FormatError naming the file."""

@@ -70,14 +70,14 @@ def average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def ranks_from_scores(scores: ChangeScores, source: str | None = None) -> Ranking:
+def ranks_from_scores(scores: ChangeScores) -> Ranking:
     """Tie-aware ranking of a complete score set (higher score, higher rank)."""
     words = list(scores.scores)
     values = np.array([scores.scores[w] for w in words])
     ranks = average_ranks(values)
     return Ranking(
         ranks={w: float(r) for w, r in zip(words, ranks)},
-        source=source if source is not None else scores.model,
+        source=scores.model,
     )
 
 

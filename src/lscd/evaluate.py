@@ -8,7 +8,7 @@ correlation of the rank vectors (exact in the presence of ties).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from pathlib import Path
 from typing import Mapping
 
@@ -19,44 +19,49 @@ from .errors import FormatError, TargetMismatchError, UndefinedCorrelationError
 from .scoring import ChangeScores
 
 
-@dataclass
-class GoldData:
-    """Gold annotations for the target words: graded change values and/or
-    binary change labels."""
-
-    graded: dict[str, float] | None = None
-    binary: dict[str, int] | None = None
-
-
-def load_gold(path: str | Path) -> GoldData:
-    """Read graded gold data: `word<TAB>float`, one target per line."""
-    graded: dict[str, float] = {}
+def _read_gold(path: str | Path, parse, expected: str) -> dict:
+    """Rows `word<TAB>value`, one target per line; blank lines are skipped. A
+    malformed row, a value `parse` rejects with ValueError or a repeated
+    word raises FormatError with the line number."""
+    gold: dict = {}
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 2:
-                raise FormatError(f"expected 'word<TAB>value' in {path}", line=i)
+                raise FormatError(f"expected '{expected}' in {path}", line=i)
+            word, text = parts
+            if word in gold:
+                raise FormatError(f"repeated gold word {word!r} in {path}", line=i)
             try:
-                graded[parts[0]] = float(parts[1])
+                gold[word] = parse(text)
             except ValueError as exc:
-                raise FormatError(f"bad gold value {parts[1]!r}", line=i) from exc
-    return GoldData(graded=graded)
+                raise FormatError(f"bad gold value {text!r} in {path}", line=i) from exc
+    return gold
 
 
-def load_binary_gold(path: str | Path) -> GoldData:
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
+def _label(text: str) -> int:
+    if text not in ("0", "1"):
+        raise ValueError(f"not 0 or 1: {text!r}")
+    return int(text)
+
+
+def load_gold(path: str | Path) -> dict[str, float]:
+    """Read graded gold data: `word<TAB>finite float`, one target per line."""
+    return _read_gold(path, _finite, "word<TAB>value")
+
+
+def load_binary_gold(path: str | Path) -> dict[str, int]:
     """Read binary gold labels: `word<TAB>0|1`, one target per line."""
-    binary: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 2 or parts[1] not in ("0", "1"):
-                raise FormatError(f"expected 'word<TAB>0|1' in {path}", line=i)
-            binary[parts[0]] = int(parts[1])
-    return GoldData(binary=binary)
+    return _read_gold(path, _label, "word<TAB>0|1")
 
 
 def spearman_values(x: np.ndarray, y: np.ndarray) -> float:
@@ -87,31 +92,23 @@ def _as_value_map(pred) -> Mapping[str, float]:
     return pred
 
 
-def spearman(pred, gold: GoldData | Mapping[str, float]) -> float:
+def spearman(pred, gold: Mapping[str, float]) -> float:
     """Spearman's rho of a prediction (Ranking, ChangeScores or mapping)
     against graded gold values, matched by target word."""
     pred_map = _as_value_map(pred)
-    gold_map = gold.graded if isinstance(gold, GoldData) else gold
-    if gold_map is None:
-        raise ValueError("gold data has no graded values")
-    ps, gs = set(pred_map), set(gold_map)
+    ps, gs = set(pred_map), set(gold)
     if ps != gs:
         raise TargetMismatchError(only_left=ps - gs, only_right=gs - ps)
     words = list(pred_map)
     return spearman_values(
         np.array([pred_map[w] for w in words]),
-        np.array([gold_map[w] for w in words]),
+        np.array([gold[w] for w in words]),
     )
 
 
-def binary_accuracy(
-    pred: Mapping[str, str | int], gold: GoldData | Mapping[str, int]
-) -> float:
+def binary_accuracy(pred: Mapping[str, str | int], gold: Mapping[str, int]) -> float:
     """Fraction of matching binary change labels."""
-    gold_map = gold.binary if isinstance(gold, GoldData) else gold
-    if gold_map is None:
-        raise ValueError("gold data has no binary labels")
-    ps, gs = set(pred), set(gold_map)
+    ps, gs = set(pred), set(gold)
     if ps != gs:
         raise TargetMismatchError(only_left=ps - gs, only_right=gs - ps)
 
@@ -120,5 +117,5 @@ def binary_accuracy(
             return 1 if label == CHANGED or label == "1" else 0
         return int(label)
 
-    hits = sum(1 for w in gold_map if _as_int(pred[w]) == int(gold_map[w]))
-    return hits / len(gold_map)
+    hits = sum(1 for w in gold if _as_int(pred[w]) == int(gold[w]))
+    return hits / len(gold)

@@ -9,12 +9,13 @@ configuration values and the derived seed). A stage is built under
 key exists only whole, and a cached one is never from other code. Stages
 read their inputs back from the upstream artifact files, except for three
 in-memory memos of a run, each built once: the raw corpora, the SGNS corpora
-whose statistics `ingest` writes, and the classifier's dataset that
-`clf-dataset` writes. A stage whose upstream is cached builds the memo from
-the inputs, which with the configuration and seed fully determine it, so a
-cached and a freshly built upstream feed downstream stages identically.
-Spaces and use sets go between stages through save_space/load_space and
-save_uses/load_uses, as `.npy` arrays, which round-trip exactly.
+whose statistics `ingest` writes, and the classifier's dataset, whose mask
+settings `clf-dataset` writes. A stage whose upstream is cached builds the
+memo from the inputs, which with the configuration and seed fully determine
+it, so a cached and a freshly built upstream feed downstream stages
+identically. Spaces and use sets go between stages through
+save_space/load_space and save_uses/load_uses, as `.npy` arrays, which
+round-trip exactly.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .align import DEFAULT_PREPROCESSING, AlignedPair, align as align_spaces
+from .align import AlignedPair, align as align_spaces
 from .context import (
     EncoderConfig,
     UseSet,
@@ -56,7 +57,6 @@ from .corpus import (
     frequency_threshold,
     load_corpus,
     load_targets,
-    write_dataset_tsv,
 )
 from .ensemble import (
     CHANGED,
@@ -103,7 +103,6 @@ class PipelineConfig:
     threshold: str = "auto"  # "auto", "none" or an integer literal
     sgns: SgnsConfig = field(default_factory=SgnsConfig)
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    align_steps: tuple[str, ...] = DEFAULT_PREPROCESSING
     pair_budget: int | None = None
     theta: float | None = None  # None: predict from classifier accuracy
     grid_step: float | None = None
@@ -149,10 +148,6 @@ def _boolean(text: str) -> bool:
         raise ValueError(f"not a boolean: {text!r}") from None
 
 
-def _steps(text: str) -> tuple[str, ...]:
-    return tuple(s.strip() for s in text.split(",") if s.strip())
-
-
 # The accepted config keys: [section] key -> (field it sets, parser of its
 # text). Keys under [sgns] and [encoder] set SgnsConfig and EncoderConfig
 # fields, all others PipelineConfig fields; the defaults live only there.
@@ -181,7 +176,6 @@ _CONFIG_KEYS = {
         "epochs": ("epochs", int),
         "learning_rate": ("learning_rate", float),
     },
-    "align": {"preprocessing": ("align_steps", _steps)},
     "scoring": {"pair_budget": ("pair_budget", _optional(int))},
     "ensemble": {
         "theta": ("theta", _optional(float, ("", "none", "auto"))),
@@ -420,19 +414,11 @@ class Pipeline:
         return static
 
     def align(self) -> StageResult:
-        cfg = self.cfg
         static = self.train_static()
-        payload = {
-            "static": static.key,
-            "steps": list(cfg.align_steps),
-        }
+        payload = {"static": static.key}
 
         def build(directory: Path):
-            pair = align_spaces(
-                load_space(static.path, T1),
-                load_space(static.path, T2),
-                steps=cfg.align_steps,
-            )
+            pair = align_spaces(load_space(static.path, T1), load_space(static.path, T2))
             save_space(pair.space_t1, directory, T1)
             save_space(pair.space_t2, directory, T2)
             np.save(directory / "rotation.npy", pair.rotation, allow_pickle=False)
@@ -453,7 +439,6 @@ class Pipeline:
 
         def build(directory: Path):
             dataset = self._clf_dataset()
-            write_dataset_tsv(dataset, directory / "dataset.tsv")
             meta = {"masked": dataset.masked, "mask_token": dataset.mask_token}
             (directory / "meta.json").write_text(
                 json.dumps(meta, indent=2, sort_keys=True)
@@ -648,7 +633,7 @@ class Pipeline:
                     best = grid_search_theta(
                         rankings[CONTEXT_FREE],
                         rankings[CONTEXT_DEPENDENT],
-                        gold.graded,
+                        gold,
                         step=cfg.grid_step,
                     )
                     rows.append(("ensemble", "theta_grid_search", best.value))
@@ -656,7 +641,7 @@ class Pipeline:
                 binary_gold = load_binary_gold(cfg.binary_gold)
                 predicted = load_binary_gold(ensemble_stage.path / "binary_ensemble.tsv")
                 rows.append(
-                    ("ensemble", "binary_accuracy", binary_accuracy(predicted.binary, binary_gold))
+                    ("ensemble", "binary_accuracy", binary_accuracy(predicted, binary_gold))
                 )
             with open(directory / "report.tsv", "w", encoding="utf-8") as fh:
                 fh.write("model\tmetric\tvalue\n")

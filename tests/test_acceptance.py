@@ -262,7 +262,7 @@ def test_end_to_end_synthetic_recovery(bench_files, tmp_path):
         scores = static_score(pair, targets)
         rho = spearman_values(
             np.array([scores.scores[w] for w in targets]),
-            np.array([gold.graded[w] for w in targets]),
+            np.array([gold[w] for w in targets]),
         )
         rhos.append(rho)
     median_rho = float(np.median(rhos))

@@ -24,7 +24,6 @@ from lscd.corpus import (
     frequency_threshold,
     load_corpus,
     load_targets,
-    write_dataset_tsv,
 )
 from lscd.errors import EmptyCorpusError
 
@@ -362,21 +361,3 @@ class TestBuildClfDataset:
         c2 = make_corpus(["a"], T2)
         with pytest.raises(EmptyCorpusError):
             build_clf_dataset(c1, c2, masked=False, seed=0)
-
-    def test_tsv_format(self, tmp_path, rng):
-        s1 = random_sentences(rng, 20)
-        s1[3].append("unique_one")
-        c2 = random_corpus(rng, 30, period=T2)
-        ds = build_clf_dataset(Corpus(s1, T1), c2, masked=True, seed=2)
-        path = tmp_path / "dataset.tsv"
-        write_dataset_tsv(ds, path)
-        lines = path.read_text(encoding="utf-8").split("\n")
-        assert lines.pop() == ""
-        assert lines == [
-            f"{label}\t{split}\t{' '.join(tokens)}"
-            for (tokens, label), split in zip(ds.examples, ds.splits)
-        ]
-        assert {T1, T2} == {line.split("\t")[0] for line in lines}
-        assert {TRAIN, TEST} == {line.split("\t")[1] for line in lines}
-        tokens = [t for line in lines for t in line.split("\t")[2].split()]
-        assert ds.mask_token in tokens and "unique_one" not in tokens

@@ -14,7 +14,6 @@ from lscd.errors import (
     UndefinedCorrelationError,
 )
 from lscd.evaluate import (
-    GoldData,
     binary_accuracy,
     load_binary_gold,
     load_gold,
@@ -117,7 +116,7 @@ class TestSpearman:
 
     def test_domain_objects_and_target_matching(self):
         ranking = Ranking(ranks={"a": 1.0, "b": 2.0, "c": 3.0}, source="test")
-        gold = GoldData(graded={"b": 5.0, "a": 1.0, "c": 9.0})
+        gold = {"b": 5.0, "a": 1.0, "c": 9.0}
         assert spearman(ranking, gold) == 1.0
         scores = ChangeScores(
             model=CONTEXT_FREE, scores={"a": 0.0, "b": 0.5, "c": 1.0}
@@ -127,17 +126,17 @@ class TestSpearman:
     def test_target_mismatch_rejected(self):
         ranking = Ranking(ranks={"a": 1.0, "b": 2.0}, source="test")
         with pytest.raises(TargetMismatchError):
-            spearman(ranking, GoldData(graded={"a": 1.0, "x": 2.0}))
+            spearman(ranking, {"a": 1.0, "x": 2.0})
 
 
 class TestBinaryAccuracy:
     def test_all_correct(self):
         pred = {"a": 1, "b": 0}
-        assert binary_accuracy(pred, GoldData(binary={"a": 1, "b": 0})) == 1.0
+        assert binary_accuracy(pred, {"a": 1, "b": 0}) == 1.0
 
     def test_all_wrong(self):
         pred = {"a": 0, "b": 1}
-        assert binary_accuracy(pred, GoldData(binary={"a": 1, "b": 0})) == 0.0
+        assert binary_accuracy(pred, {"a": 1, "b": 0}) == 0.0
 
     def test_35_of_48_counting_fixture(self):
         words = [f"w{i:02d}" for i in range(48)]
@@ -145,25 +144,24 @@ class TestBinaryAccuracy:
         pred = dict(gold)
         for w in words[:13]:
             pred[w] = 1 - pred[w]
-        acc = binary_accuracy(pred, GoldData(binary=gold))
+        acc = binary_accuracy(pred, gold)
         assert abs(acc - 35 / 48) <= 1e-12
         assert round(acc, 4) == 0.7292
 
     def test_string_labels_accepted(self):
         pred = {"a": "changed", "b": "unchanged"}
-        assert binary_accuracy(pred, GoldData(binary={"a": 1, "b": 0})) == 1.0
+        assert binary_accuracy(pred, {"a": 1, "b": 0}) == 1.0
 
     def test_mismatch_rejected(self):
         with pytest.raises(TargetMismatchError):
-            binary_accuracy({"a": 1}, GoldData(binary={"b": 1}))
+            binary_accuracy({"a": 1}, {"b": 1})
 
 
 class TestGoldFiles:
     def test_graded_roundtrip(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("alpha\t0.25\nbeta\t-1.5\n", encoding="utf-8")
-        gold = load_gold(path)
-        assert gold.graded == {"alpha": 0.25, "beta": -1.5}
+        assert load_gold(path) == {"alpha": 0.25, "beta": -1.5}
 
     def test_graded_malformed_line_reported(self, tmp_path):
         path = tmp_path / "gold.tsv"
@@ -175,13 +173,35 @@ class TestGoldFiles:
     def test_binary_roundtrip(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("alpha\t1\nbeta\t0\n", encoding="utf-8")
-        assert load_binary_gold(path).binary == {"alpha": 1, "beta": 0}
+        assert load_binary_gold(path) == {"alpha": 1, "beta": 0}
 
     def test_binary_bad_label_rejected(self, tmp_path):
         path = tmp_path / "gold.tsv"
         path.write_text("alpha\t2\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_binary_gold(path)
+
+    @pytest.mark.parametrize(
+        "load, rows",
+        [(load_gold, ["0.1", "0.5", "0.9"]), (load_binary_gold, ["0", "1", "1"])],
+        ids=["graded", "binary"],
+    )
+    def test_repeated_word_rejected(self, tmp_path, load, rows):
+        # A later row must not silently replace an earlier one.
+        path = tmp_path / "gold.tsv"
+        path.write_text("a\t{}\nb\t{}\n\na\t{}\n".format(*rows), encoding="utf-8")
+        with pytest.raises(FormatError, match="'a'") as excinfo:
+            load(path)
+        assert excinfo.value.line == 4
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+    def test_graded_non_finite_rejected(self, tmp_path, value):
+        # A NaN would rank above every number and hide in Spearman's rho.
+        path = tmp_path / "gold.tsv"
+        path.write_text(f"a\t0.1\nb\t{value}\nc\t0.5\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=value) as excinfo:
+            load_gold(path)
+        assert excinfo.value.line == 2
 
 
 class TestBenchmarkGenerator:
@@ -317,9 +337,7 @@ class TestBenchmarkGenerator:
         paths = write_benchmark(bench, tmp_path / "bench")
         for path in paths.values():
             assert path.is_file()
-        gold = load_gold(paths["gold"])
-        assert set(gold.graded) == set(bench.targets)
-        binary = load_binary_gold(paths["binary_gold"])
-        assert set(binary.binary) == set(bench.targets)
+        assert set(load_gold(paths["gold"])) == set(bench.targets)
+        assert set(load_binary_gold(paths["binary_gold"])) == set(bench.targets)
         targets = (paths["targets"].read_text(encoding="utf-8")).split()
         assert targets == bench.targets

@@ -68,8 +68,7 @@ GOLDEN = {
     "answers/graded_context_dependent.tsv": "6fdab56f4a28da21a0aeece3f3f9c726fb9e5292cb68bf981b260d45609d1437",
     "answers/graded_context_free.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
     "answers/graded_ensemble.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
-    "manifest.json": "f9c64e489ffe192dfe2554fc6f66f4633b1d208b79708632e978e8ff43207740",
-    "clf-dataset/dataset.tsv": "b15136b5361d343514495ab95d232b5d16407025633c4951f8a9eaaced564e3a",
+    "manifest.json": "ae38c77f853224a74535aba2bca9383718e65081931524adde264c5468766219",
     "clf-dataset/meta.json": "aab095a66fc4e0cae9edfd1df867518815aeaffdfa0a8201039e28c0238e5ead",
     "clf-model/metrics.tsv": "b8a0644c246e9bbd580e88671041cb3e48a4311b54791b4a7829c1b59393c2bc",
     "clf-model/model.npz": "fca8195c03535ec42b28051092c2fc281ec1e647d217f57921ac01379c81197f",

@@ -117,7 +117,6 @@ class TestConfig:
         assert config.threshold == "auto"
         assert config.theta is None
         assert config.grid_step == 0.25
-        assert config.align_steps == ("normalize", "center")
         assert config.pair_budget is None
         assert config.seed == 7
 
@@ -129,9 +128,14 @@ class TestConfig:
             with pytest.raises(ValueError, match=key):
                 load_config(path)
 
-    def test_unknown_section_rejected(self, tmp_path, bench_dir):
-        path = write_config(tmp_path, bench_dir, extra="\n[mystery]\nx = 1\n")
-        with pytest.raises(ValueError, match="mystery"):
+    @pytest.mark.parametrize(
+        "section, key",
+        [("mystery", "x = 1"), ("align", "preprocessing = normalize,center")],
+        ids=["mystery", "align"],
+    )
+    def test_unknown_section_rejected(self, tmp_path, bench_dir, section, key):
+        path = write_config(tmp_path, bench_dir, extra=f"\n[{section}]\n{key}\n")
+        with pytest.raises(ValueError, match=re.escape(f"[{section}]")):
             load_config(path)
 
     def test_missing_required_path(self, tmp_path):
@@ -198,7 +202,7 @@ class TestConfig:
 
     def test_readme_config_blocks_load(self, tmp_path, monkeypatch):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-        quick_start, reference = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)
+        quick_start = re.findall(r"```ini\n(.*?)```", readme, re.DOTALL)[0]
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bench").mkdir()
         for name in ("corpus_t1.txt", "corpus_t2.txt", "targets.txt", "gold.tsv", "gold_binary.tsv"):
@@ -209,17 +213,6 @@ class TestConfig:
         assert config.gold == Path("bench/gold.tsv")
         assert config.binary_gold == Path("bench/gold_binary.tsv")
         assert config.sgns.window == 5 and config.encoder.context_radius == 3
-
-        # The reference block lists every key at its default.
-        required = "corpus_t1 = bench/corpus_t1.txt\ncorpus_t2 = bench/corpus_t2.txt\n"
-        required += "targets = bench/targets.txt\n"
-        text = reference.replace("[paths]\n", "[paths]\n" + required, 1)
-        (tmp_path / "reference.ini").write_text(text, encoding="utf-8")
-        assert load_config("reference.ini") == PipelineConfig(
-            corpus_t1=Path("bench/corpus_t1.txt"),
-            corpus_t2=Path("bench/corpus_t2.txt"),
-            targets=Path("bench/targets.txt"),
-        )
 
     def test_derive_seed_stable_and_distinct(self):
         assert derive_seed(7, "sgns-t1") == derive_seed(7, "sgns-t1")
@@ -264,24 +257,8 @@ class TestPipelineRun:
     def test_manifest_covers_every_tunable(self, run_dir):
         _, _, config, _ = run_dir
         manifest = json.loads((config.output_dir / "manifest.json").read_text())
-        for field_name in (
-            "corpus_t1",
-            "corpus_t2",
-            "targets",
-            "gold",
-            "binary_gold",
-            "output_dir",
-            "masked",
-            "threshold",
-            "sgns",
-            "encoder",
-            "align_steps",
-            "pair_budget",
-            "theta",
-            "grid_step",
-            "seed",
-        ):
-            assert field_name in manifest["config"]
+        for field in dataclasses.fields(PipelineConfig):
+            assert field.name in manifest["config"]
         assert manifest["inputs"]["corpus_t1"]
         assert set(manifest["stages"]) == {
             "ingest",
@@ -390,7 +367,7 @@ class TestPipelineRun:
 
     def test_classifier_over_cached_dataset_unchanged(self, run_dir):
         # With `clf-dataset` cached, `clf-model` builds the dataset again
-        # from the corpora instead of reading dataset.tsv.
+        # from the corpora; no stage writes the dataset itself out.
         _, config_path, _, first = run_dir
         stage_dir = first.stages["clf-model"].path
         before = {p.name: p.read_bytes() for p in stage_dir.iterdir()}
@@ -966,24 +943,24 @@ print(Pipeline(load_config(config_path)).ingest().cached)
     ):
         import lscd.pipeline as pipeline_module
 
-        write_dataset_tsv = pipeline_module.write_dataset_tsv
+        save_classifier = pipeline_module.save_classifier
 
-        def write_then_fail(dataset, path):
-            write_dataset_tsv(dataset, path)
+        def write_then_fail(model, path):
+            save_classifier(model, path)
             raise OSError("injected write failure")
 
         config = load_config(write_config(tmp_path, bench_dir))
-        monkeypatch.setattr(pipeline_module, "write_dataset_tsv", write_then_fail)
+        monkeypatch.setattr(pipeline_module, "save_classifier", write_then_fail)
         with pytest.raises(StageError, match="injected write failure") as excinfo:
-            Pipeline(config).build_clf()
-        assert excinfo.value.stage == "clf-dataset"
-        assert not list(config.output_dir.glob("clf-dataset/*"))
+            Pipeline(config).train_clf()
+        assert excinfo.value.stage == "clf-model"
+        assert not list(config.output_dir.glob("clf-model/*"))
         assert not list(config.output_dir.glob(".staging/*"))
 
         monkeypatch.undo()
-        rebuilt = Pipeline(config).build_clf()
+        rebuilt = Pipeline(config).train_clf()
         assert not rebuilt.cached
-        assert sorted(p.name for p in rebuilt.path.iterdir()) == ["dataset.tsv", "meta.json"]
+        assert sorted(p.name for p in rebuilt.path.iterdir()) == ["metrics.tsv", "model.npz"]
 
     def test_version_changes_every_key_and_no_artifact(
         self, tmp_path, run_dir, monkeypatch

@@ -5,13 +5,22 @@ learned weight per offset -r..r that mixes each token's embedding with its
 neighbors, and a logistic head over the mean of the mixed vectors that
 predicts the sentence's period. The mixed vectors double as word-use
 representations; extraction forms them only at the requested positions,
-one offset-weighted gather per offset, in O(uses * (2r+1) * d). The head
-never forms them: their mean is the coefficient-weighted sum
-``coeffs @ rows / L`` (``coeffs[j]`` being the total offset weight that
-reaches token j), so one forward and backward pass costs O(L*d) and yields a
-sparse, one-row-per-token embedding gradient. Training, prediction and the
-gradient check share that pass. save_uses and load_uses store one
-period's use sets exactly, as the `uses` stage hands them to `scores`.
+one offset-weighted gather per offset, in O(uses * (2r+1) * d).
+
+The head never forms them: their mean is the weighted sum ``weight @ rows``,
+where a token's weight is the total offset weight that reaches it over the
+sentence's length, so a sentence's logit is the sum of its tokens' weighted
+projections ``rows @ head_w``. One pass (`_forward`) takes many sentences
+laid end to end, builds the reach rows of their tokens only, and takes each
+logit as a segment sum: O(T*d) for T tokens, with a sparse,
+one-row-per-token embedding gradient. Training takes `_CLF_CHUNK` shuffled
+sentences per SGD step and moves every parameter by the learning rate times
+the sum of the chunk's per-sentence gradients at the pre-step parameters;
+the embedding rows take that sum through `sgns._scatter_add`, as SGNS
+chunks do. `classifier_loss_and_grads`, which the gradient check tests, is
+that pass on one sentence; evaluation and prediction use it too. save_uses
+and load_uses store one period's use sets exactly, as the `uses` stage hands
+them to `scores`.
 """
 
 from __future__ import annotations
@@ -19,14 +28,15 @@ from __future__ import annotations
 import math
 import zipfile
 from dataclasses import dataclass, field
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import T2, PERIODS, Corpus, TimeClfDataset, TRAIN, TEST, _load_array, _read_lines
 from .errors import DatasetError, FormatError, TrainingDivergedError
+from .sgns import _scatter_add, sigmoid
 
+_CLF_CHUNK = 32  # training sentences per SGD step
 _LR_FLOOR_FACTOR = 1e-2
 _LOSS_EPS = 1e-12
 
@@ -55,7 +65,8 @@ class ClfMetrics:
     accuracy: float
     per_label_accuracy: dict[str, float]
     example_counts: dict[str, int]
-    # Per epoch: the mean binary cross-entropy of its steps, before each update.
+    # Per epoch: the mean binary cross-entropy of its sentences, each taken
+    # before its chunk's update.
     train_loss: list[float] = field(default_factory=list)
     # Mean binary cross-entropy over the test examples, after training.
     test_loss: float = math.nan
@@ -117,19 +128,13 @@ class TimeClassifier:
         """Probability that the sentence comes from the second period."""
         if not tokens:
             raise ValueError("cannot classify an empty sentence")
-        return float(_sigmoid(_forward(self, self.token_ids(tokens))[-1]))
+        ids = self.token_ids(tokens)
+        return float(sigmoid(_forward(self, ids, np.array([len(ids)]))[-1][0]))
 
 
-def _bce(p: float, y: float) -> float:
-    """Binary cross-entropy of probability `p` against label `y` in {0, 1}."""
-    return -(y * math.log(p + _LOSS_EPS) + (1.0 - y) * math.log(1.0 - p + _LOSS_EPS))
-
-
-def _sigmoid(z: float) -> float:
-    if z >= 0:
-        return 1.0 / (1.0 + np.exp(-z))
-    ez = np.exp(z)
-    return ez / (1.0 + ez)
+def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Binary cross-entropy of each probability `p` against its label `y` in {0, 1}."""
+    return -(y * np.log(p + _LOSS_EPS) + (1.0 - y) * np.log(1.0 - p + _LOSS_EPS))
 
 
 def _contextual(
@@ -149,94 +154,107 @@ def _contextual(
     return out
 
 
-@lru_cache(maxsize=256)
-def _reach(length: int, radius: int) -> np.ndarray:
-    """reach[j, o + radius] = 1 where offset o mixes token j into some
-    position of a `length`-token sentence (0 <= j - o < length), else 0.
-    Shared by every caller, hence read-only."""
-    lag = np.arange(length)[:, None] - np.arange(-radius, radius + 1)
-    reach = ((lag >= 0) & (lag < length)).astype(float)
-    reach.flags.writeable = False
-    return reach
+def _gather(ids: np.ndarray, offsets: np.ndarray, sentences: np.ndarray):
+    """The ids of `sentences` (sentence i is ids[offsets[i]:offsets[i + 1]])
+    laid end to end, and their lengths."""
+    lengths = offsets[sentences + 1] - offsets[sentences]
+    ends = np.cumsum(lengths)
+    shift = np.repeat(offsets[sentences] - (ends - lengths), lengths)
+    return ids[np.arange(ends[-1]) + shift], lengths
 
 
-def _forward(model: TimeClassifier, ids: np.ndarray, rows: np.ndarray | None = None):
-    """Rows, `_reach` matrix, pooling coefficients, pooled vector and logit
-    of one sentence: coeffs[j] is the total offset weight reaching token j,
-    so the mean of the mixed vectors is coeffs @ rows / L. `rows`, if given,
-    are the embedding rows of `ids`."""
-    if rows is None:
-        rows = model._embed(ids)
-    reach = _reach(len(ids), model.radius)
-    coeffs = reach @ model.offset_weights
-    pooled = coeffs @ rows / len(ids)
-    z = float(model.head_w @ pooled + model.head_b)
-    return rows, reach, coeffs, pooled, z
-
-
-def classifier_loss_and_grads(
+def _forward(
     model: TimeClassifier,
     ids: np.ndarray,
-    label: int,
+    lengths: np.ndarray,
+    rows: np.ndarray | None = None,
+):
+    """One pass over sentences laid end to end in `ids`, sentence s being
+    lengths[s] >= 1 tokens long. Returns the tokens' embedding rows (`rows`,
+    if given), their reach rows (reach[t, o + radius] = 1 where offset o
+    mixes token t into a position of its sentence), pooling weights (the
+    total offset weight reaching the token over its sentence's length),
+    projections rows @ head_w and sentence numbers, and each sentence's
+    logit as the segment sum of weight * projection plus the bias."""
+    if rows is None:
+        rows = model._embed(ids)
+    radius = model.radius
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    length_of = lengths[sentence]
+    position = np.arange(len(ids)) - (np.cumsum(lengths) - lengths)[sentence]
+    lag = position[:, None] - np.arange(-radius, radius + 1)
+    reach = ((lag >= 0) & (lag < length_of[:, None])).astype(float)
+    weight = reach @ model.offset_weights / length_of
+    proj = rows @ model.head_w
+    z = np.bincount(sentence, weights=weight * proj) + model.head_b
+    return rows, reach, weight, proj, sentence, z
+
+
+def _loss_and_grads(
+    model: TimeClassifier,
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    labels: np.ndarray,
     step: int | None = None,
     rows: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Binary cross-entropy of one non-empty example, given as token ids
-    (TimeClassifier.token_ids), and its gradients at the current parameters.
-
-    Row j of ``grads["embeddings"]`` is the gradient for token j's embedding
-    row (repeated tokens add up; out-of-vocabulary rows belong to no
-    parameter). A non-finite logit raises TrainingDivergedError at `step`.
-    A caller that has the embedding rows of `ids` may pass them as `rows`.
-    """
-    rows, reach, coeffs, pooled, z = _forward(model, ids, rows)
-    if not math.isfinite(z):
+    """Summed binary cross-entropy of sentences laid end to end in `ids`
+    (see _forward), labelled 1 for the second period, and each parameter's
+    gradient summed over them, all at the current parameters. Row t of
+    ``grads["embeddings"]`` is the gradient for token t's embedding row. A
+    non-finite logit raises TrainingDivergedError at `step`."""
+    rows, reach, weight, proj, sentence, z = _forward(model, ids, lengths, rows)
+    if not np.isfinite(z).all():
         raise TrainingDivergedError(f"non-finite activation at step {step}", step=step)
-    p = _sigmoid(z)
-    y = float(label)
-    loss = _bce(p, y)
-
-    dz = p - y
-    scale = dz / len(ids)
-    # Offset o's gradient is head_w . (sum of the rows it reads) * dz / L, a
-    # sum of the per-token projections rows @ head_w over the tokens it reaches.
-    d_g = scale * ((rows @ model.head_w) @ reach)
-    d_rows = (scale * coeffs)[:, None] * model.head_w
-    return loss, {
-        "head_w": dz * pooled,
-        "head_b": np.array(dz),
-        "offset_weights": d_g,
-        "embeddings": d_rows,
+    p = sigmoid(z)
+    dz = p - labels
+    # A sentence's pooled vector is weight @ rows over its tokens, so each
+    # token's row and the head see the sentence's dz through its weight.
+    scale = dz[sentence] * weight
+    return float(_bce(p, labels).sum()), {
+        "head_w": scale @ rows,
+        "head_b": np.array(dz.sum()),
+        # Offset o's gradient sums head_w . (the rows it reads) * dz / L.
+        "offset_weights": ((dz / lengths)[sentence] * proj) @ reach,
+        "embeddings": scale[:, None] * model.head_w,
     }
 
 
-def _sgd_update(
-    model: TimeClassifier, ids: np.ndarray, label: int, lr: float, step: int
+def classifier_loss_and_grads(
+    model: TimeClassifier, ids: np.ndarray, label: int
+) -> tuple[float, dict[str, np.ndarray]]:
+    """Binary cross-entropy of one non-empty example, given as token ids
+    (TimeClassifier.token_ids), and its gradients at the current parameters:
+    the training pass on a chunk of one sentence.
+
+    Row j of ``grads["embeddings"]`` is the gradient for token j's embedding
+    row (repeated tokens add up; out-of-vocabulary rows belong to no
+    parameter). A non-finite logit raises TrainingDivergedError.
+    """
+    return _loss_and_grads(model, ids, np.array([len(ids)]), np.array([float(label)]))
+
+
+def _chunk_step(
+    model: TimeClassifier,
+    ids: np.ndarray,
+    lengths: np.ndarray,
+    labels: np.ndarray,
+    lr: float,
+    step: int,
 ) -> float:
-    """One SGD step, every gradient taken at the pre-step parameters; returns
-    the pre-step loss. All `ids` must be in the vocabulary."""
-    listed = ids.tolist()
-    if min(listed) < 0:
+    """One SGD step on a chunk of sentences laid end to end in `ids` (see
+    _forward): every parameter moves by -lr times the sum of its
+    per-sentence gradients at the pre-step parameters. Returns the summed
+    pre-step loss. All `ids` must be in the vocabulary."""
+    if ids.min() < 0:
         raise ValueError("an out-of-vocabulary token has no embedding row")
-    # Each id's first position: filled back to front, so the first one stays.
-    first = dict(zip(reversed(listed), range(len(listed) - 1, -1, -1)))
-    rows = model.embeddings[ids]
-    loss, grads = classifier_loss_and_grads(model, ids, label, step=step, rows=rows)
+    loss, grads = _loss_and_grads(
+        model, ids, lengths, labels, step=step, rows=model.embeddings[ids]
+    )
     model.head_w -= lr * grads["head_w"]
     model.head_b -= lr * float(grads["head_b"])
     model.offset_weights -= lr * grads["offset_weights"]
-    delta = -lr * grads["embeddings"]
-    rows += delta
-    # Each row takes its deltas one addition at a time in sentence order, as
-    # np.add.at would: its pre-step value plus its first delta, then the
-    # delta of each repeat.
-    if len(first) == len(listed):
-        model.embeddings[ids] = rows
-    else:
-        model.embeddings[list(first)] = rows[list(first.values())]
-        for j, t in enumerate(listed):
-            if first[t] != j:
-                model.embeddings[t] += delta[j]
+    _scatter_add(model.embeddings, ids, -lr * grads["embeddings"])
     return loss
 
 
@@ -247,6 +265,10 @@ def train_time_classifier(
 ) -> tuple[TimeClassifier, ClfMetrics]:
     """Train on the train split for exactly `config.epochs` passes and report
     accuracy on the untouched test split, plus each epoch's mean train loss.
+
+    Each pass takes the non-empty train sentences in a fresh shuffled order,
+    `_CLF_CHUNK` at a time, one SGD step per chunk; the learning rate decays
+    linearly per chunk to its floor.
 
     `vocabulary` may supply additional words (e.g. the full joint corpus
     vocabulary) so that later extraction never meets out-of-vocabulary
@@ -277,54 +299,61 @@ def train_time_classifier(
         config=config,
     )
     ids = model.token_ids(enc.words)[enc.ids]
-    bounds = enc.offsets.tolist()
-    example_ids = [ids[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-    labels = [1 if label == T2 else 0 for label in dataset.labels]
+    offsets = enc.offsets
+    labels = np.array([1.0 if label == T2 else 0.0 for label in dataset.labels])
+    train_idx = np.array(train_idx)
 
     lr0 = config.learning_rate
     lr_floor = lr0 * _LR_FLOOR_FACTOR
-    total_steps = config.epochs * len(train_idx)
     step = 0
     train_loss = []
-    for _ in range(config.epochs):
-        losses = []
-        for i in rng.permutation(len(train_idx)).tolist():
-            ids, label = example_ids[train_idx[i]], labels[train_idx[i]]
-            if not len(ids):
-                continue
-            lr = max(lr0 * (1.0 - step / total_steps), lr_floor)
+    for epoch in range(config.epochs):
+        order = train_idx[rng.permutation(len(train_idx))]
+        order = order[offsets[order + 1] > offsets[order]]
+        loss_sum = 0.0
+        for start in range(0, len(order), _CLF_CHUNK):
+            chunk = order[start : start + _CLF_CHUNK]
             step += 1
-            losses.append(_sgd_update(model, ids, label, lr, step))
-        train_loss.append(sum(losses) / len(losses) if losses else math.nan)
+            progress = (epoch + start / len(order)) / config.epochs
+            lr = max(lr0 * (1.0 - progress), lr_floor)
+            chunk_ids, lengths = _gather(ids, offsets, chunk)
+            loss_sum += _chunk_step(model, chunk_ids, lengths, labels[chunk], lr, step)
+        train_loss.append(loss_sum / len(order) if len(order) else math.nan)
 
-    metrics = _evaluate(model, [(example_ids[i], labels[i]) for i in test_idx])
+    metrics = _evaluate(model, ids, offsets, labels, np.array(test_idx))
     metrics.train_loss = train_loss
     return model, metrics
 
 
-def _evaluate(model: TimeClassifier, examples: list[tuple]) -> ClfMetrics:
-    """Metrics over test examples given as (ids, label) with label 1 for the
-    second period."""
-    hits = [0, 0]
-    counts = [0, 0]
-    loss_sum = 0.0
-    for ids, label in examples:
-        if not len(ids):
-            continue
-        p = float(_sigmoid(_forward(model, ids, model.embeddings[ids])[-1]))
-        loss_sum += _bce(p, float(label))
-        counts[label] += 1
-        hits[label] += int(p > 0.5) == label
-    total = sum(counts)
-    if total == 0:
+def _evaluate(
+    model: TimeClassifier,
+    ids: np.ndarray,
+    offsets: np.ndarray,
+    labels: np.ndarray,
+    sentences: np.ndarray,
+) -> ClfMetrics:
+    """Metrics over the non-empty `sentences` of the flat `ids` (see
+    _gather), `labels` holding 1 for the second period, `_CLF_CHUNK`
+    sentences per forward pass."""
+    sentences = sentences[offsets[sentences + 1] > offsets[sentences]]
+    if not len(sentences):
         raise DatasetError("test split has no usable examples")
+    y = labels[sentences]
+    p = np.concatenate([
+        sigmoid(_forward(model, *_gather(ids, offsets, chunk))[-1])
+        for chunk in np.split(sentences, range(_CLF_CHUNK, len(sentences), _CLF_CHUNK))
+    ])
+    counts = np.bincount(y.astype(int), minlength=2)
+    hits = np.bincount(y.astype(int), weights=(p > 0.5) == y, minlength=2)
+    total = len(sentences)
     return ClfMetrics(
-        accuracy=sum(hits) / total,
+        accuracy=float(hits.sum()) / total,
         per_label_accuracy={
-            p: (h / n) if n else 0.0 for p, h, n in zip(PERIODS, hits, counts)
+            period: (h / n) if n else 0.0
+            for period, h, n in zip(PERIODS, hits.tolist(), counts.tolist())
         },
-        example_counts=dict(zip(PERIODS, counts)),
-        test_loss=loss_sum / total,
+        example_counts=dict(zip(PERIODS, counts.tolist())),
+        test_loss=float(_bce(p, y).sum()) / total,
     )
 
 

@@ -15,7 +15,8 @@ memo from the inputs, which with the configuration and seed fully determine
 it, so a cached and a freshly built upstream feed downstream stages
 identically. Spaces and use sets go between stages through
 save_space/load_space and save_uses/load_uses, as `.npy` arrays, which
-round-trip exactly.
+round-trip exactly. `run_all` publishes each answer file by a rename as
+well, and writes ``run.complete`` after the last one and the manifest.
 """
 
 from __future__ import annotations
@@ -678,7 +679,7 @@ class Pipeline:
             "graded_ensemble.tsv",
             "binary_ensemble.tsv",
         ):
-            shutil.copyfile(ensemble_stage.path / name, answers / name)
+            _copy_whole(ensemble_stage.path / name, answers / name)
 
         manifest = {
             "package_version": __version__,
@@ -713,6 +714,17 @@ class Pipeline:
             },
             "output_dir": str(self.cfg.output_dir),
         }
+
+
+def _copy_whole(source: Path, target: Path) -> None:
+    """Copy `source` to `target` through a sibling temporary file and one
+    rename, so that `target` is always a whole file, old or new."""
+    temp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        shutil.copyfile(source, temp)
+        os.replace(temp, target)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def _train_space(corpus: Corpus, config: SgnsConfig, directory: Path) -> None:

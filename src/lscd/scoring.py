@@ -133,8 +133,9 @@ def mpe_distance(
     if pair_budget is not None and pair_budget < 1:
         raise ValueError(f"pair_budget must be >= 1, got {pair_budget}")
     # Canonical operand order makes d(A, B) and d(B, A) run the identical
-    # float computation, so symmetry holds exactly.
-    if (len(b), b.tobytes()) < (len(a), a.tobytes()):
+    # float computation, so symmetry holds exactly: the shorter set first,
+    # and only sets of equal length are ordered by their bytes.
+    if len(b) < len(a) or (len(b) == len(a) and b.tobytes() < a.tobytes()):
         a, b = b, a
     m, n = len(a), len(b)
 

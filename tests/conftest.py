@@ -1,6 +1,16 @@
 from __future__ import annotations
 
-import numpy as np
+import os
+
+# One BLAS thread per test process, set before numpy loads OpenBLAS. With one
+# thread per core, OpenBLAS's threads wait on each other whenever another busy
+# process holds a core: on 2 cores beside one busy process, a Procrustes test
+# that takes about 1 s took 35-44 s. A value already set in the environment
+# wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from lscd.corpus import T1, Corpus

@@ -1,18 +1,21 @@
 """Reference implementations of the encoder, kept as test oracles.
 
 `reference_mix` forms the contextual vectors offset by offset, and
-`reference_train` is the per-example trainer built on d-wide prefix sums of
-the embedding rows. `lscd.context` computes the same quantities through
-pooling coefficients (training) and one banded matrix product (extraction);
-the tests check that both agree. `reference_train` raises IndexError on a
-training sentence shorter than the context radius.
+`reference_train` is the chunked trainer built on per-example gradients
+from d-wide prefix sums of the embedding rows. `lscd.context` computes the
+same quantities through pooling weights and segment sums over a whole chunk
+(training) and offset-weighted gathers (extraction); the tests check that
+both agree. `reference_train` raises IndexError on a training sentence
+shorter than the context radius.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from lscd.context import EncoderConfig, TimeClassifier, _sigmoid
+from lscd.context import _CLF_CHUNK, EncoderConfig, TimeClassifier
 from lscd.corpus import T2, TRAIN, TimeClfDataset
 from lscd.errors import DatasetError, TrainingDivergedError
 
@@ -43,11 +46,20 @@ def reference_mix(rows: np.ndarray, offset_weights: np.ndarray) -> np.ndarray:
     return h
 
 
-def reference_sgd_step(
-    model: TimeClassifier, tokens: list[str], label: int, lr: float, step: int
-) -> None:
+def _sigmoid(z: float) -> float:
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def reference_grads(
+    model: TimeClassifier, tokens: list[str], label: int, step: int
+) -> dict[str, np.ndarray]:
+    """The gradients of one example's loss at the model's parameters, the
+    embedding gradient as a dense vocabulary-sized array."""
     rows = reference_embed(model, tokens)
-    g = model.offset_weights.copy()  # snapshot: all gradients at one point
+    g = model.offset_weights
     radius = model.radius
     length = len(tokens)
 
@@ -59,29 +71,31 @@ def reference_sgd_step(
     dz = _sigmoid(z) - float(label)
     d_pool = dz * model.head_w
 
-    model.head_w -= lr * dz * pooled
-    model.head_b -= lr * dz
-
     prefix = np.vstack([np.zeros(rows.shape[1]), np.cumsum(rows, axis=0)])
+    d_g = np.empty(len(g))
     for o in range(-radius, radius + 1):
         if o <= 0:
             seg_sum = prefix[length + o] if o < 0 else prefix[length]
         else:
             seg_sum = prefix[length] - prefix[o]
-        model.offset_weights[o + radius] -= lr * float(d_pool @ seg_sum) / length
+        d_g[o + radius] = float(d_pool @ seg_sum) / length
 
     coeffs = np.empty(length)
     for j in range(length):
         lo = max(-radius, j - (length - 1))
         hi = min(radius, j)
         coeffs[j] = g[lo + radius : hi + radius + 1].sum()
-    d_rows = np.outer(-lr * coeffs / length, d_pool)
-    ids = np.array(
-        [model.word_ids[t] for t in tokens if t in model.word_ids], dtype=np.int64
-    )
-    keep = np.array([t in model.word_ids for t in tokens])
-    if len(ids):
-        np.add.at(model.embeddings, ids, d_rows[keep])
+    d_rows = np.outer(coeffs / length, d_pool)
+    d_emb = np.zeros_like(model.embeddings)
+    for j, tok in enumerate(tokens):
+        if tok in model.word_ids:
+            d_emb[model.word_ids[tok]] += d_rows[j]
+    return {
+        "head_w": dz * pooled,
+        "head_b": dz,
+        "offset_weights": d_g,
+        "embeddings": d_emb,
+    }
 
 
 def reference_train(
@@ -89,7 +103,10 @@ def reference_train(
     config: EncoderConfig,
     vocabulary: list[str] | None = None,
 ) -> TimeClassifier:
-    """The trained model of `train_time_classifier`, by the reference step."""
+    """The trained model of `train_time_classifier`: each chunk of
+    `_CLF_CHUNK` non-empty train sentences, in the shuffled order, moves
+    every parameter by -lr times the sum of its per-example reference
+    gradients at the pre-chunk parameters."""
     train_idx = dataset.indices(TRAIN)
     if not train_idx:
         raise DatasetError("train split must be non-empty")
@@ -110,14 +127,23 @@ def reference_train(
         config=config,
     )
     lr0 = config.learning_rate
-    total_steps = config.epochs * len(train_idx)
     step = 0
-    for _ in range(config.epochs):
-        for i in rng.permutation(len(train_idx)):
-            tokens, label = examples[train_idx[int(i)]]
-            if not tokens:
-                continue
-            lr = max(lr0 * (1.0 - step / total_steps), lr0 * 1e-2)
+    for epoch in range(config.epochs):
+        order = [train_idx[int(i)] for i in rng.permutation(len(train_idx))]
+        order = [i for i in order if examples[i][0]]
+        for start in range(0, len(order), _CLF_CHUNK):
             step += 1
-            reference_sgd_step(model, tokens, 1 if label == T2 else 0, lr, step)
+            progress = (epoch + start / len(order)) / config.epochs
+            lr = max(lr0 * (1.0 - progress), lr0 * 1e-2)
+            total = None
+            for i in order[start : start + _CLF_CHUNK]:
+                tokens, label = examples[i]
+                grads = reference_grads(model, tokens, 1 if label == T2 else 0, step)
+                total = grads if total is None else {
+                    name: total[name] + grad for name, grad in grads.items()
+                }
+            model.head_w = model.head_w - lr * total["head_w"]
+            model.head_b = model.head_b - lr * total["head_b"]
+            model.offset_weights = model.offset_weights - lr * total["offset_weights"]
+            model.embeddings = model.embeddings - lr * total["embeddings"]
     return model

@@ -13,7 +13,8 @@ from lscd.context import (
     EncoderConfig,
     TimeClassifier,
     UseSet,
-    _sgd_update,
+    _chunk_step,
+    _loss_and_grads,
     classifier_loss_and_grads,
     extract_uses,
     load_classifier,
@@ -129,41 +130,90 @@ class TestGradients:
 
 class TestSharedPass:
     @pytest.mark.parametrize("radius", [2, 5])
-    def test_step_is_params_minus_lr_grads(self, radius):
-        # Lengths 1..2r+2 over 4 distinct tokens: short sentences, sentences
-        # longer than the window, and repeated tokens in the one scatter.
+    def test_step_is_params_minus_lr_grads(self, radius, monkeypatch):
+        # Sentences of lengths 0..2r+2 over 4 distinct tokens: empty ones,
+        # short ones, ones longer than the window, and tokens repeated within
+        # a sentence and across the sentences of a chunk. 12 of each length
+        # in each epoch: the last chunk of each epoch is short.
+        import lscd.context
+
         rng = np.random.default_rng(radius)
-        model = small_model(seed=3, radius=radius)
-        for step, length in enumerate(range(1, 2 * radius + 3), start=1):
-            ids = rng.integers(0, 4, size=length)
-            label = step % 2
-            lr = 0.3 / step
+        sentences, labels = [], []
+        for _ in range(6):
+            for length in range(2 * radius + 3):
+                for label in (T1, T2):
+                    sentences.append([f"w{i}" for i in rng.integers(0, 4, size=length)])
+                    labels.append(label)
+        n_train = len(sentences)
+        n_empty = sum(not sentence for sentence in sentences)
+        assert (n_train - n_empty) % lscd.context._CLF_CHUNK
+        sentences += [["w1", "w2"], ["w3"]]
+        labels += [T1, T2]
+        splits = ["train"] * n_train + ["test", "test"]
+        dataset = TimeClfDataset(
+            encode(sentences), labels, splits, masked=False, mask_token="[MASK]"
+        )
+
+        chunk_step = lscd.context._chunk_step
+        steps = []
+
+        def recording(model, ids, lengths, chunk_labels, lr, step):
             before = copy.deepcopy(model)
-            loss, grads = classifier_loss_and_grads(before, ids, label)
-            assert _sgd_update(model, ids, label, lr, step) == loss
-            emb = before.embeddings - lr * densify(before, ids, grads["embeddings"])
-            assert np.abs(model.embeddings - emb).max() <= 1e-12
-            for name in ("head_w", "offset_weights"):
-                expected = getattr(before, name) - lr * grads[name]
-                assert np.abs(getattr(model, name) - expected).max() <= 1e-12
-            assert abs(model.head_b - (before.head_b - lr * grads["head_b"])) <= 1e-12
+            loss = chunk_step(model, ids, lengths, chunk_labels, lr, step)
+            steps.append((before, copy.deepcopy(model), ids, lengths, chunk_labels, lr, loss))
+            return loss
+
+        monkeypatch.setattr(lscd.context, "_chunk_step", recording)
+        cfg = EncoderConfig(dimension=6, context_radius=radius, epochs=2, seed=7)
+        train_time_classifier(dataset, cfg)
+
+        sizes = [len(lengths) for _, _, _, lengths, _, _, _ in steps]
+        per_epoch = math.ceil((n_train - n_empty) / lscd.context._CLF_CHUNK)
+        assert len(steps) == 2 * per_epoch
+        assert sum(sizes) == 2 * (n_train - n_empty)
+        assert sizes[per_epoch - 1] < lscd.context._CLF_CHUNK
+        for before, after, ids, lengths, chunk_labels, lr, loss in steps:
+            assert lengths.min() >= 1
+            want_loss = 0.0
+            want = {
+                "head_w": np.zeros_like(before.head_w),
+                "head_b": 0.0,
+                "offset_weights": np.zeros_like(before.offset_weights),
+                "embeddings": np.zeros_like(before.embeddings),
+            }
+            for sentence, label in zip(np.split(ids, np.cumsum(lengths)[:-1]), chunk_labels):
+                one_loss, grads = classifier_loss_and_grads(before, sentence, int(label))
+                want_loss += one_loss
+                grads["embeddings"] = densify(before, sentence, grads["embeddings"])
+                for name in want:
+                    want[name] = want[name] + grads[name]
+            assert abs(loss - want_loss) <= 1e-12 * max(1.0, want_loss)
+            for name, grad in want.items():
+                expected = getattr(before, name) - lr * grad
+                assert np.abs(getattr(after, name) - expected).max() <= 1e-12
 
     def test_non_finite_logit_raises_with_step(self):
+        # Only the chunk's second sentence diverges; nothing moves.
         model = small_model()
-        model.head_b = math.inf
+        model.head_w = np.abs(model.head_w)
+        model.embeddings[5] = math.inf
         before = copy.deepcopy(model)
-        ids = model.token_ids(["w1", "w2", "w3"])
+        ids, lengths = np.array([1, 2, 3, 4, 5]), np.array([3, 2])
         with pytest.raises(TrainingDivergedError) as excinfo:
-            _sgd_update(model, ids, 1, 0.1, step=17)
+            _chunk_step(model, ids, lengths, np.array([1.0, 0.0]), 0.1, step=17)
         assert excinfo.value.step == 17
-        assert np.array_equal(model.embeddings, before.embeddings)
-        assert np.array_equal(model.offset_weights, before.offset_weights)
+        for name in ("embeddings", "offset_weights", "head_w"):
+            assert np.array_equal(getattr(model, name), getattr(before, name))
+        assert model.head_b == before.head_b
 
     def test_out_of_vocabulary_id_rejected_before_any_update(self):
         model = small_model()
         before = copy.deepcopy(model)
         with pytest.raises(ValueError):
-            _sgd_update(model, np.array([1, -1, 2]), 1, 0.1, step=1)
+            _chunk_step(
+                model, np.array([1, 2, -1, 2]), np.array([2, 2]), np.array([1.0, 0.0]),
+                0.1, step=1,
+            )
         assert np.array_equal(model.embeddings, before.embeddings)
         assert np.array_equal(model.head_w, before.head_w)
 
@@ -171,16 +221,18 @@ class TestSharedPass:
         model = small_model(seed=8)
         fortran = copy.deepcopy(model)
         fortran.embeddings = np.asfortranarray(fortran.embeddings)
-        ids = np.array([3, 1, 3, 7])
-        _sgd_update(model, ids, 1, 0.2, step=1)
-        _sgd_update(fortran, ids, 1, 0.2, step=1)
+        ids, lengths, labels = np.array([3, 1, 3, 7]), np.array([2, 2]), np.array([1.0, 0.0])
+        _chunk_step(model, ids, lengths, labels, 0.2, step=1)
+        _chunk_step(fortran, ids, lengths, labels, 0.2, step=1)
+        assert fortran.embeddings.flags.f_contiguous
         assert np.array_equal(fortran.embeddings, model.embeddings)
 
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_embedding_update_matches_add_at_bit_for_bit(self, order):
-        # A step writes each row's pre-step value plus its first delta, then
-        # adds each repeat's delta in order; it must give np.add.at's bits.
-        for ids in (
+        # A step sums each row's deltas in token order from zero, then adds
+        # the sums to the rows once; it must give the bits of np.add.at into
+        # a zero block followed by one addition.
+        cases = [
             [3, 1, 7, 0],
             [3, 1, 3, 7, 3],  # repeated 3 times, in the first and last position
             [5],
@@ -189,18 +241,29 @@ class TestSharedPass:
             [1, 5, 1, 5, 1, 8, 1],  # one token 4 times, another twice
             [4, 4, 4, 4, 4],  # only repeats
             [7, 3, 7, 3, 3, 7],  # only repeats, of two tokens
-        ):
+        ]
+        # Each case as a chunk of its own, then all of them as one chunk, so
+        # that tokens also repeat across sentences.
+        chunks = [[ids] for ids in cases] + [cases]
+        for chunk in chunks:
+            ids = np.concatenate(chunk)
+            lengths = np.array([len(sentence) for sentence in chunk])
             # Large rows round each addition; at unit scale, repeats' deltas
             # added in another order give other bits. Of the two labels, at
             # least one leaves the logit unsaturated, so the deltas are not 0.
             for scale, label in itertools.product((1.0, 1e3), (0, 1)):
-                ids = np.array(ids)
+                labels = np.full(len(chunk), float(label))
                 model = small_model(seed=len(ids))
                 model.embeddings = np.asarray(model.embeddings * scale, order=order)
-                _, grads = classifier_loss_and_grads(model, ids, label)
+                if len(chunk) == 1:
+                    _, grads = classifier_loss_and_grads(model, ids, label)
+                else:
+                    _, grads = _loss_and_grads(model, ids, lengths, labels)
+                block = np.zeros_like(model.embeddings)
+                np.add.at(block, ids, -0.2 * grads["embeddings"])
                 want = model.embeddings.copy(order=order)
-                np.add.at(want, ids, -0.2 * grads["embeddings"])
-                _sgd_update(model, ids, label, 0.2, step=1)
+                want += block
+                _chunk_step(model, ids, lengths, labels, 0.2, step=1)
                 assert model.embeddings.flags.f_contiguous == (order == "F")
                 assert model.embeddings.tobytes(order="A") == want.tobytes(order="A")
 

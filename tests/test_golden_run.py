@@ -68,20 +68,20 @@ GOLDEN = {
     "answers/graded_context_dependent.tsv": "6fdab56f4a28da21a0aeece3f3f9c726fb9e5292cb68bf981b260d45609d1437",
     "answers/graded_context_free.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
     "answers/graded_ensemble.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
-    "manifest.json": "ae38c77f853224a74535aba2bca9383718e65081931524adde264c5468766219",
+    "manifest.json": "e43afccb7c7ea5eac4d7aef254d4f02c65612205cb4fddd8e199c97144269930",
     "clf-dataset/meta.json": "aab095a66fc4e0cae9edfd1df867518815aeaffdfa0a8201039e28c0238e5ead",
-    "clf-model/metrics.tsv": "b8a0644c246e9bbd580e88671041cb3e48a4311b54791b4a7829c1b59393c2bc",
-    "clf-model/model.npz": "fca8195c03535ec42b28051092c2fc281ec1e647d217f57921ac01379c81197f",
+    "clf-model/metrics.tsv": "40879d8a0078eac7f3a55c92ef040a9b4b629b6bb8b39c340b4bdab62b4c3445",
+    "clf-model/model.npz": "cdd2bac916b17cbd9815d9640ea1c3bc6aa7b293ed612ea1f75f1e6722684a17",
     "static/t1.npy": "fc76dbc5c7212129b485267173f6595ad31c3d47df4e7993683cb573fdf3b721",
     "static/t2.npy": "a7b1f5ca19a8bd4315d7443143a7ee08e959aaa59917f4c5c6295389d0bad1da",
     "align/t1.npy": "f90462c82e0a65b9c5f2b0416365e094f8dabe2b7cb2cf372b3fd41717e5e112",
     "align/t2.npy": "6cfd375091567474be807a04ef8f500c5beef02b56efb3a4534296102aa55db1",
     "align/rotation.npy": "c7264a1a3fb1b4e726a6c1549b75e4dde8f099cf7757d1783a0619268871b339",
-    "uses/uses_t1.npy": "70162482f191582e7faf6605f6397e988b3efbd6361f79f4a5f4915efd9fe9e2",
-    "uses/uses_t2.npy": "751bac0ca1b06410db160d53cb3d0bbc09d9b2953f885c6b04d044c23a8a0680",
+    "uses/uses_t1.npy": "29ff42c481c933ce4960b45ac8905a3a1fe38669d97004b2d73c8b8fe46ec1bc",
+    "uses/uses_t2.npy": "a33a27ed31fed9541cf84523ee885abb72f707408c9e28c49bbee4ab9242c64d",
     "uses/uses_t1.index.tsv": "d9caa6e7bc3dccfe39b358ce6ed8931a472478b8d9d21b78cc6cb2c3c8bd12e9",
     "uses/uses_t2.index.tsv": "9031f0283baea8ddd5bd0a3b4874be0cff9eea89077bd422118147f877e0c571",
-    "scores/scores.tsv": "7e4873e5149f8f7abe7359e865ac8963fe05c46ba15073d8bf9c0dcbb6060f55",
+    "scores/scores.tsv": "de0534c9a4347fe86483858c9d529ae88302a572cd634612143f030652ef9b39",
     "evaluate/report.tsv": "de3f09ee2d71407d99e7e91f882989d32f17ba97228faeb1912b8844da9107ff",
 }
 

@@ -962,6 +962,35 @@ print(Pipeline(load_config(config_path)).ingest().cached)
         assert not rebuilt.cached
         assert sorted(p.name for p in rebuilt.path.iterdir()) == ["metrics.tsv", "model.npz"]
 
+    def test_failed_answer_copy_keeps_earlier_answers_whole(
+        self, tmp_path, bench_dir, monkeypatch
+    ):
+        config = load_config(write_config(tmp_path, bench_dir))
+        Pipeline(config).run_all()
+        answers = config.output_dir / "answers"
+        before = {p.name: p.read_bytes() for p in answers.iterdir()}
+        assert len(before) == 4
+
+        copyfile = shutil.copyfile
+        copies = []
+
+        def fail_third(source, target, *args, **kwargs):
+            if Path(target).parent == answers:
+                copies.append(target)
+                if len(copies) == 3:
+                    # Half the file is written when the copy fails.
+                    data = Path(source).read_bytes()
+                    Path(target).write_bytes(data[: len(data) // 2])
+                    raise OSError("injected copy failure")
+            return copyfile(source, target, *args, **kwargs)
+
+        monkeypatch.setattr(shutil, "copyfile", fail_third)
+        with pytest.raises(OSError, match="injected copy failure"):
+            Pipeline(config).run_all()
+        assert len(copies) == 3
+        assert not (config.output_dir / "run.complete").exists()
+        assert {p.name: p.read_bytes() for p in answers.iterdir()} == before
+
     def test_version_changes_every_key_and_no_artifact(
         self, tmp_path, run_dir, monkeypatch
     ):

@@ -134,6 +134,16 @@ class TestMpeDistance:
         b = rng.standard_normal((5, 3))
         assert mpe_distance(a, b) == mpe_distance(b, a)
 
+    @pytest.mark.parametrize("pair_budget", [None, 10], ids=["exact", "sampled"])
+    def test_symmetry_bit_for_bit_at_unequal_lengths(self, pair_budget):
+        rng = np.random.default_rng(6)
+        for m, n in [(1, 2), (3, 8), (40, 9), (700, 5)]:
+            a = rng.standard_normal((m, 4)) * 10.0 ** rng.integers(-3, 4)
+            b = rng.standard_normal((n, 4)) + 5.0
+            ab = mpe_distance(a, b, pair_budget=pair_budget, seed=3)
+            ba = mpe_distance(b, a, pair_budget=pair_budget, seed=3)
+            assert np.float64(ab).tobytes() == np.float64(ba).tobytes()
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(3)
         a = rng.standard_normal((8, 4))

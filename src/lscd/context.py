@@ -16,11 +16,11 @@ logit as a segment sum: O(T*d) for T tokens, with a sparse,
 one-row-per-token embedding gradient. Training takes `_CLF_CHUNK` shuffled
 sentences per SGD step and moves every parameter by the learning rate times
 the sum of the chunk's per-sentence gradients at the pre-step parameters;
-the embedding rows take that sum through `sgns._scatter_add`, as SGNS
-chunks do. `classifier_loss_and_grads`, which the gradient check tests, is
-that pass on one sentence; evaluation and prediction use it too. save_uses
-and load_uses store one period's use sets exactly, as the `uses` stage hands
-them to `scores`.
+the embedding rows take that sum through `_scatter_add`.
+`classifier_loss_and_grads`, which the gradient check tests, is that pass on
+one sentence; evaluation and prediction use it too. save_uses and load_uses
+store one period's use sets exactly, as the `uses` stage hands them to
+`scores`.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from .corpus import T2, PERIODS, Corpus, TimeClfDataset, TRAIN, TEST, _load_array, _read_lines
 from .errors import DatasetError, FormatError, TrainingDivergedError
-from .sgns import _scatter_add, sigmoid
+from .sgns import sigmoid
 
 _CLF_CHUNK = 32  # training sentences per SGD step
 _LR_FLOOR_FACTOR = 1e-2
@@ -232,6 +232,22 @@ def classifier_loss_and_grads(
     parameter). A non-finite logit raises TrainingDivergedError.
     """
     return _loss_and_grads(model, ids, np.array([len(ids)]), np.array([float(label)]))
+
+
+def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
+    """target[rows] += values, summing repeated rows (as np.add.at does).
+
+    Each row's values are summed in input order by one bincount over the
+    distinct rows, so the cost follows the chunk, not the vocabulary.
+    """
+    d = target.shape[1]
+    distinct, local = np.unique(rows, return_inverse=True)
+    sums = np.bincount(
+        (local[:, None] * d + np.arange(d)).ravel(),
+        weights=values.ravel(),
+        minlength=len(distinct) * d,
+    )
+    target[distinct] += sums.reshape(-1, d)
 
 
 def _chunk_step(

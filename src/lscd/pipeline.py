@@ -2,11 +2,11 @@
 caching, and the run manifest.
 
 Every stage writes its artifacts under ``output_dir/<stage>/<key>/`` where
-the key is a content hash over the stage's name, the package version and
-the stage's inputs (source file hashes, upstream stage keys, the relevant
-configuration values and the derived seed). A stage is built under
-``output_dir/.staging/`` and published by one rename, so a directory at a
-key exists only whole, and a cached one is never from other code. Stages
+the key is a content hash over the stage's name, the package and numpy
+versions and the stage's inputs (source file hashes, upstream stage keys,
+the relevant configuration values and the derived seed). A stage is built
+under ``output_dir/.staging/`` and published by one rename, so a directory
+at a key exists only whole, and a cached one is never from other code. Stages
 read their inputs back from the upstream artifact files, except for three
 in-memory memos of a run, each built once: the raw corpora, the SGNS corpora
 whose statistics `ingest` writes, and the classifier's dataset, whose mask
@@ -69,7 +69,13 @@ from .ensemble import (
     ranks_from_scores,
     theta_from_accuracy,
 )
-from .errors import FormatError, LscdError, StageError
+from .errors import (
+    FormatError,
+    LscdError,
+    StageError,
+    TargetMismatchError,
+    UnderdeterminedError,
+)
 from .evaluate import binary_accuracy, load_binary_gold, load_gold, spearman
 from .scoring import (
     CONTEXT_DEPENDENT,
@@ -306,6 +312,9 @@ class Pipeline:
                 "filtered_sentences_t1": f1.sentence_count,
                 "filtered_sentences_t2": f2.sentence_count,
                 "targets": len(targets),
+                # SGNS gives every word of its corpus a vector, so these are
+                # the words that align can fit its rotation on.
+                "shared_words": len(set(f1.encoded.words) & set(f2.encoded.words)),
             }
             self._memo["ingested"] = (f1, f2), stats
         return self._memo["ingested"]
@@ -323,7 +332,9 @@ class Pipeline:
     def _ensure(self, name: str, payload: dict, build) -> StageResult:
         if name in self.stages:
             return self.stages[name]
-        key = _key_of({**payload, "stage": name, "version": __version__})
+        key = _key_of(
+            {**payload, "stage": name, "version": __version__, "numpy": np.__version__}
+        )
         directory = self.cfg.output_dir / name / key
         result = StageResult(name, key, directory, cached=directory.is_dir())
         if not result.cached:
@@ -389,9 +400,18 @@ class Pipeline:
         beside_errors: list[Exception] = []
 
         def build(directory: Path):
+            corpora, stats = self._ingested()
+            # Checked before anything trains: align needs at least as many
+            # shared words as dimensions.
+            if stats["shared_words"] < cfg.sgns.dimension:
+                raise UnderdeterminedError(
+                    f"[sgns] dimension = {cfg.sgns.dimension} exceeds the "
+                    f"{stats['shared_words']} words shared by both corpora, "
+                    "too few for align to fit a rotation"
+                )
             jobs = [
                 (c, dataclasses.replace(cfg.sgns, seed=seeds[c.period]), directory)
-                for c in self._ingested()[0]
+                for c in corpora
             ]
             # Not every platform reports affinity; then count every CPU.
             if hasattr(os, "sched_getaffinity"):
@@ -612,6 +632,13 @@ class Pipeline:
             raise StageError(
                 "evaluate", ValueError("no gold file configured; nothing to evaluate")
             )
+        # A gold file that does not list the targets fails before anything
+        # trains. Ingest, built first, checks the target file itself.
+        self.ingest()
+        try:
+            _check_gold(cfg)
+        except LscdError as exc:
+            raise StageError("evaluate", exc) from exc
         ensemble_stage = self.ensemble()
         payload = {
             "ensemble": ensemble_stage.key,
@@ -664,9 +691,9 @@ class Pipeline:
         """Execute the full pipeline, publish the answer files and write the
         run manifest. Returns a report of what ran and what was reused."""
         cfg = self.cfg
-        ensemble_stage = self.ensemble()
         if cfg.gold is not None or cfg.binary_gold is not None:
             self.evaluate()
+        ensemble_stage = self.ensemble()
 
         run_sentinel = cfg.output_dir / RUN_SENTINEL
         run_sentinel.unlink(missing_ok=True)
@@ -725,6 +752,20 @@ def _copy_whole(source: Path, target: Path) -> None:
         os.replace(temp, target)
     finally:
         temp.unlink(missing_ok=True)
+
+
+def _check_gold(cfg: PipelineConfig) -> None:
+    """Raise FormatError, naming the file, if a gold file does not list
+    exactly the run's targets."""
+    targets = set(load_targets(cfg.targets))
+    for key, load in (("gold", load_gold), ("binary_gold", load_binary_gold)):
+        path = getattr(cfg, key)
+        if path is not None and (words := set(load(path))) != targets:
+            mismatch = TargetMismatchError(words - targets, targets - words)
+            raise FormatError(
+                f"[paths] {key} = {path} does not list the targets in {cfg.targets}: "
+                f"{mismatch}"
+            )
 
 
 def _train_space(corpus: Corpus, config: SgnsConfig, directory: Path) -> None:

@@ -13,8 +13,10 @@ over all sentences and the sentence offsets into it, renumbered so that id 0
 is the most frequent word. An epoch draws every token's span, counts its
 pairs in closed form from that span and its place in the sentence, shuffles
 the pair indices and lists the pairs one block at a time: no array holds all
-of an epoch's pairs. A chunk's updates are summed per row in pair order
-(context words before negatives) and then added to the matrices.
+of an epoch's pairs. Training runs in float32, as word2vec and gensim do:
+each chunk's updates are added to the matrices one at a time, centers, then
+context words, then negatives, each in pair order. The returned vectors are
+the float64 values of the trained float32 ones.
 
 One function, `_chunk_update`, computes the loss and the gradients: training
 calls it once per chunk, and `sgns_step`, which the gradient checks test, is
@@ -122,8 +124,9 @@ def _chunk_update(
     pos_z = np.einsum("bd,bd->b", v_cen, u_ctx)
     neg_z = np.einsum("bkd,bd->bk", u_neg, v_cen)
     loss = -_log_sigmoid(pos_z).sum() - (_log_sigmoid(-neg_z) * live).sum()
-    pos_coef = (1.0 - sigmoid(pos_z)) * lr
-    neg_coef = -(sigmoid(neg_z) * live) * lr
+    # sigmoid computes in float64; the (b, d) products take out's dtype.
+    pos_coef = ((1.0 - sigmoid(pos_z)) * lr).astype(out.dtype, copy=False)
+    neg_coef = (-(sigmoid(neg_z) * live) * lr).astype(out.dtype, copy=False)
     d_cen, d_ctx, d_neg = np.split(out, (b, 2 * b))
     np.multiply(pos_coef[:, None], u_ctx, out=d_cen)
     d_cen += np.einsum("bk,bkd->bd", neg_coef, u_neg)
@@ -212,22 +215,6 @@ def _list_pairs(tokens, left, first, center_of, p) -> tuple[np.ndarray, np.ndarr
     return tokens[c], tokens[c + rank + (rank >= 0)]
 
 
-def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """target[rows] += values, summing repeated rows (as np.add.at does).
-
-    Each row's values are summed in input order by one bincount over the
-    distinct rows, so the cost follows the chunk, not the vocabulary.
-    """
-    d = target.shape[1]
-    distinct, local = np.unique(rows, return_inverse=True)
-    sums = np.bincount(
-        (local[:, None] * d + np.arange(d)).ravel(),
-        weights=values.ravel(),
-        minlength=len(distinct) * d,
-    )
-    target[distinct] += sums.reshape(-1, d)
-
-
 def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     """Train one embedding space on one corpus."""
     if corpus.sentence_count == 0:
@@ -237,9 +224,11 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     d = config.dimension
     rng = np.random.default_rng(config.seed)
 
-    # The input and output vectors are the two halves of one matrix, so that
-    # a chunk's updates to both take one scatter.
-    weights = np.zeros((2 * n_words, d))
+    # The input and output vectors are the two halves of one float32 matrix,
+    # so that a chunk's updates to both take one scatter into its flat view.
+    weights = np.zeros((2 * n_words, d), dtype=np.float32)
+    flat = weights.reshape(-1)
+    columns = np.arange(d)
     vec_in, vec_out = weights[:n_words], weights[n_words:]
     vec_in[:] = (rng.random((n_words, d)) - 0.5) / d
 
@@ -254,7 +243,7 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
         keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio)
 
     k = config.negatives
-    deltas = np.empty(((2 + k) * _CHUNK, d))
+    deltas = np.empty(((2 + k) * _CHUNK, d), dtype=np.float32)
     lr0 = config.initial_learning_rate
     lr_floor = lr0 * _LR_FLOOR_FACTOR
     word_ids = {w: i for i, w in enumerate(words)}
@@ -287,20 +276,22 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             # nothing to this step.
             live = negs != ctx[:, None]
 
-            # Every delta comes from these gathers, the input and output
-            # rows are disjoint, and each row's deltas keep their order, so
-            # one scatter over both halves applies what two would.
+            # Every delta comes from these gathers and the input and output
+            # rows are disjoint, so one scatter over both halves applies what
+            # two would. np.add.at adds each element in index order.
             out = deltas[: (2 + k) * len(cen)]
-            chunk_loss = _chunk_update(
-                vec_in[cen], vec_out[ctx], vec_out[negs], live, lr, out
-            )
-            if not np.isfinite(chunk_loss):
-                raise TrainingDivergedError(
-                    f"non-finite loss in update chunk {step}", step=step
-                )
-            epoch_loss += chunk_loss
             rows = np.concatenate((cen, n_words + ctx, n_words + negs.reshape(-1)))
-            _scatter_add(weights, rows, out)
+            # A diverging run overflows float32; the finite checks report it.
+            with np.errstate(over="ignore", invalid="ignore"):
+                chunk_loss = _chunk_update(
+                    vec_in[cen], vec_out[ctx], vec_out[negs], live, lr, out
+                )
+                if not np.isfinite(chunk_loss):
+                    raise TrainingDivergedError(
+                        f"non-finite loss in update chunk {step}", step=step
+                    )
+                np.add.at(flat, (rows[:, None] * d + columns).ravel(), out.ravel())
+            epoch_loss += chunk_loss
         losses.append(epoch_loss / n_pairs)
         # Freed before the next epoch builds its own.
         del tokens, left, first, order, center_of, centers, contexts
@@ -310,8 +301,8 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     return EmbeddingSpace(
         words=words,
         word_ids=word_ids,
-        vectors=vec_in,
-        context_vectors=vec_out,
+        vectors=vec_in.astype(np.float64),
+        context_vectors=vec_out.astype(np.float64),
         config=config,
         epoch_losses=losses,
     )

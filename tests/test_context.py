@@ -15,6 +15,7 @@ from lscd.context import (
     UseSet,
     _chunk_step,
     _loss_and_grads,
+    _scatter_add,
     classifier_loss_and_grads,
     extract_uses,
     load_classifier,
@@ -438,6 +439,20 @@ class TestTraining:
             EncoderConfig(epochs=0)
         with pytest.raises(ValueError):
             EncoderConfig(learning_rate=0.0)
+
+
+class TestScatterAdd:
+    def test_matches_add_at_with_repeated_rows(self):
+        rng = np.random.default_rng(3)
+        for n_rows, d, b in ((1, 1, 50), (5, 3, 200), (40, 17, 1000)):
+            start = rng.standard_normal((n_rows, d))
+            rows = np.minimum(rng.zipf(1.5, size=b) - 1, n_rows - 1)
+            values = rng.standard_normal((b, d))
+            want = start.copy()
+            np.add.at(want, rows, values)
+            got = start.copy()
+            _scatter_add(got, rows, values)
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestExtraction:

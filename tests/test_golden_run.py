@@ -68,20 +68,20 @@ GOLDEN = {
     "answers/graded_context_dependent.tsv": "6fdab56f4a28da21a0aeece3f3f9c726fb9e5292cb68bf981b260d45609d1437",
     "answers/graded_context_free.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
     "answers/graded_ensemble.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
-    "manifest.json": "e43afccb7c7ea5eac4d7aef254d4f02c65612205cb4fddd8e199c97144269930",
+    "manifest.json": "6a6c2967ac0b1d13dbd6358ddf8f695483945ad5920d6749aee31aa6e5064f34",
     "clf-dataset/meta.json": "aab095a66fc4e0cae9edfd1df867518815aeaffdfa0a8201039e28c0238e5ead",
     "clf-model/metrics.tsv": "40879d8a0078eac7f3a55c92ef040a9b4b629b6bb8b39c340b4bdab62b4c3445",
     "clf-model/model.npz": "cdd2bac916b17cbd9815d9640ea1c3bc6aa7b293ed612ea1f75f1e6722684a17",
-    "static/t1.npy": "fc76dbc5c7212129b485267173f6595ad31c3d47df4e7993683cb573fdf3b721",
-    "static/t2.npy": "a7b1f5ca19a8bd4315d7443143a7ee08e959aaa59917f4c5c6295389d0bad1da",
-    "align/t1.npy": "f90462c82e0a65b9c5f2b0416365e094f8dabe2b7cb2cf372b3fd41717e5e112",
-    "align/t2.npy": "6cfd375091567474be807a04ef8f500c5beef02b56efb3a4534296102aa55db1",
-    "align/rotation.npy": "c7264a1a3fb1b4e726a6c1549b75e4dde8f099cf7757d1783a0619268871b339",
+    "static/t1.npy": "9817c4340076ce14616b2bae3d494140758bdfc42790d6282a3095eac7c8ea60",
+    "static/t2.npy": "a7cdaec5c66fb15316a1ce41f6b2807b61a6c10062bbeecd7bbc4feea8510dfe",
+    "align/t1.npy": "72e02831174fcf82c67a824420214edda9e2586f86a36e0e5c8ad088538418bf",
+    "align/t2.npy": "cae97db34b2dfc2d112e703541c1f8be4df74c6d680cd27fcaaa0e8d74460a40",
+    "align/rotation.npy": "d018d80515443965250952a8ae778c887b6f6625e12d8232007818fbe91ffc38",
     "uses/uses_t1.npy": "29ff42c481c933ce4960b45ac8905a3a1fe38669d97004b2d73c8b8fe46ec1bc",
     "uses/uses_t2.npy": "a33a27ed31fed9541cf84523ee885abb72f707408c9e28c49bbee4ab9242c64d",
     "uses/uses_t1.index.tsv": "d9caa6e7bc3dccfe39b358ce6ed8931a472478b8d9d21b78cc6cb2c3c8bd12e9",
     "uses/uses_t2.index.tsv": "9031f0283baea8ddd5bd0a3b4874be0cff9eea89077bd422118147f877e0c571",
-    "scores/scores.tsv": "de0534c9a4347fe86483858c9d529ae88302a572cd634612143f030652ef9b39",
+    "scores/scores.tsv": "940c75814467be685b7431f4cbe86790a6ac2bd0743ac105ca0ba44d3bc0b1e1",
     "evaluate/report.tsv": "de3f09ee2d71407d99e7e91f882989d32f17ba97228faeb1912b8844da9107ff",
 }
 

@@ -21,12 +21,18 @@ from lscd.cli import build_parser, main
 from lscd.corpus import (
     T1,
     T2,
+    _read_lines,
     apply_threshold,
     build_vocabulary,
     load_corpus,
     load_targets,
 )
-from lscd.errors import FormatError, StageError, TrainingDivergedError
+from lscd.errors import (
+    FormatError,
+    StageError,
+    TrainingDivergedError,
+    UnderdeterminedError,
+)
 from lscd.pipeline import (
     Pipeline,
     PipelineConfig,
@@ -443,6 +449,9 @@ class TestStaticStage:
         assert stats["sentences_t2"] == raw[1].sentence_count
         assert stats["filtered_sentences_t1"] == filtered[0].sentence_count
         assert stats["filtered_sentences_t2"] == filtered[1].sentence_count
+        # The words that both spaces have vectors for, which align fits on.
+        words = [set(_read_lines(static.path / f"{p}.words.txt")) for p in (T1, T2)]
+        assert stats["shared_words"] == len(words[0] & words[1])
         # SGNS trains on the filtered corpora in memory; no copy is written.
         assert sorted(p.name for p in ingest.path.iterdir()) == ["stats.json"]
 
@@ -574,7 +583,9 @@ class TestArtifactHandoff:
         config, first, calls, payloads = handoff
 
         def untagged_key(stage, **upstream):
-            payload = {k: v for k, v in payloads[stage].items() if k != "version"}
+            payload = {
+                k: v for k, v in payloads[stage].items() if k not in ("version", "numpy")
+            }
             return pipeline_module._key_of({**payload, **upstream})
 
         static_key = untagged_key("static")
@@ -885,6 +896,72 @@ print(json.dumps(result))
         with pytest.raises(StageError, match="evaluate"):
             Pipeline(config).evaluate()
 
+    @staticmethod
+    def count_training(monkeypatch, log: Path) -> None:
+        """Append one line to `log` per call of either trainer, in this
+        process or in a forked helper."""
+        import lscd.pipeline as pipeline_module
+
+        for name in ("train_sgns", "train_time_classifier"):
+            def counted(*args, _train=getattr(pipeline_module, name), _name=name, **kwargs):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(_name + "\n")
+                return _train(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline_module, name, counted)
+
+    def test_dimension_above_shared_words_fails_before_training(
+        self, tmp_path, bench_dir, monkeypatch
+    ):
+        log = tmp_path / "trained.log"
+        self.count_training(monkeypatch, log)
+        path = write_config(tmp_path, bench_dir)
+        path.write_text(path.read_text().replace("dimension = 16", "dimension = 1000", 1))
+        config = load_config(path)
+        with pytest.raises(StageError) as excinfo:
+            Pipeline(config).run_all()
+        assert excinfo.value.stage == "static"
+        assert isinstance(excinfo.value.cause, UnderdeterminedError)
+        assert "[sgns] dimension = 1000" in str(excinfo.value)
+        assert not log.exists()
+        (stats,) = config.output_dir.glob("ingest/*/stats.json")
+        shared = json.loads(stats.read_text())["shared_words"]
+        assert f"exceeds the {shared} words shared" in str(excinfo.value)
+        assert not list(config.output_dir.glob("static/*"))
+
+    @pytest.mark.parametrize("key", ["gold", "binary_gold"])
+    def test_gold_not_listing_targets_fails_before_training(
+        self, tmp_path, bench_dir, monkeypatch, key
+    ):
+        log = tmp_path / "trained.log"
+        self.count_training(monkeypatch, log)
+        config = load_config(write_config(tmp_path, bench_dir))
+        gold = tmp_path / "gold.tsv"
+        text = getattr(config, key).read_text(encoding="utf-8")
+        gold.write_text(text.replace("target00\t", "tagret00\t"), encoding="utf-8")
+        config = dataclasses.replace(config, **{key: gold})
+        with pytest.raises(StageError) as excinfo:
+            Pipeline(config).run_all()
+        assert excinfo.value.stage == "evaluate"
+        assert isinstance(excinfo.value.cause, FormatError)
+        message = str(excinfo.value)
+        assert f"[paths] {key} = {gold}" in message
+        assert "only in first: tagret00; only in second: target00" in message
+        assert not log.exists()
+        assert not (config.output_dir / "static").exists()
+
+    def test_real_divergence_is_stage_tagged(self, tmp_path, bench_dir):
+        # No injected error: SGNS overflows float32 at this learning rate.
+        path = write_config(tmp_path, bench_dir)
+        path.write_text(path.read_text().replace("[sgns]", "[sgns]\nlearning_rate = 1e30"))
+        config = load_config(path)
+        with pytest.raises(StageError) as excinfo:
+            Pipeline(config).train_static()
+        assert excinfo.value.stage == "static"
+        assert isinstance(excinfo.value.cause, TrainingDivergedError)
+        assert excinfo.value.cause.step >= 1
+        assert not list(config.output_dir.glob("static/*"))
+
 
 class TestStagePublish:
     # Each process waits inside the build until both are there, so both build
@@ -1010,6 +1087,19 @@ print(Pipeline(load_config(config_path)).ingest().cached)
             assert {p.name: p.read_bytes() for p in stage.path.iterdir()} == {
                 p.name: p.read_bytes() for p in old.path.iterdir()
             }
+
+    def test_numpy_version_changes_every_key(self, tmp_path, run_dir, monkeypatch):
+        # numpy's float paths may differ between releases: a run under another
+        # numpy serves none of this one's stages.
+        _, _, config, first = run_dir
+        out = tmp_path / "out"
+        shutil.copytree(config.output_dir, out)
+        monkeypatch.setattr(np, "__version__", "0.0.0+other")
+        pipeline = Pipeline(dataclasses.replace(config, output_dir=out))
+        pipeline.run_all()
+        assert set(pipeline.stages) == set(first.stages)
+        for name, stage in pipeline.stages.items():
+            assert not stage.cached and stage.key != first.stages[name].key
 
 
 class TestCli:

@@ -9,7 +9,7 @@ import pytest
 import lscd.sgns as sgns_module
 from lscd.benchmark import generate_shift_benchmark
 from lscd.corpus import T1, Corpus
-from lscd.errors import EmptyCorpusError, FormatError
+from lscd.errors import EmptyCorpusError, FormatError, TrainingDivergedError
 from lscd.sgns import (
     _BLOCK,
     _CHUNK,
@@ -20,7 +20,6 @@ from lscd.sgns import (
     _corpus_ids,
     _epoch_pairs,
     _list_pairs,
-    _scatter_add,
     load_space,
     save_space,
     sgns_step,
@@ -132,15 +131,19 @@ def all_pairs(tokens, left, first) -> tuple[np.ndarray, np.ndarray]:
     return _list_pairs(tokens, left, first, center_of, np.arange(first[-1]))
 
 
-def mirror_train(corpus: Corpus, config: SgnsConfig) -> tuple[np.ndarray, np.ndarray]:
+def mirror_train(
+    corpus: Corpus, config: SgnsConfig, dtype=np.float32
+) -> tuple[np.ndarray, np.ndarray]:
     """Reference trainer: identical RNG recipe, but the epoch's pairs listed
-    whole and permuted, and per-pair sgns_step calls accumulated in plain
-    Python instead of the vectorized chunk update."""
+    whole and permuted, each pair's step computed alone (`_chunk_update` on
+    a batch of one, as sgns_step is) and the chunk's steps added one by one
+    in plain Python: centers, then context words, then negatives, each in
+    pair order. In float64 it is float64 training on the same schedule."""
     ids, offsets, words, freq = _corpus_ids(corpus)
-    d = config.dimension
+    d, k = config.dimension, config.negatives
     rng = np.random.default_rng(config.seed)
-    vec_in = (rng.random((len(words), d)) - 0.5) / d
-    vec_out = np.zeros((len(words), d))
+    vec_in = ((rng.random((len(words), d)) - 0.5) / d).astype(dtype)
+    vec_out = np.zeros((len(words), d), dtype=dtype)
     noise_cdf = np.cumsum(freq**config.noise_exponent)
     noise_cdf /= noise_cdf[-1]
     lr0 = config.initial_learning_rate
@@ -156,23 +159,20 @@ def mirror_train(corpus: Corpus, config: SgnsConfig) -> tuple[np.ndarray, np.nda
             b = len(cen)
             progress = (epoch + start / n_pairs) / config.epochs
             lr = max(lr0 * (1.0 - progress), lr0 * _LR_FLOOR_FACTOR)
-            negs = np.searchsorted(
-                noise_cdf, rng.random((b, config.negatives)), side="right"
-            )
-            d_in = np.zeros_like(vec_in)
-            d_out = np.zeros_like(vec_out)
+            negs = np.searchsorted(noise_cdf, rng.random((b, k)), side="right")
+            steps = np.empty((b, 2 + k, d), dtype=dtype)
             for p in range(b):
-                live = [int(n) for n in negs[p] if n != ctx[p]]
-                neg_rows = vec_out[live] if live else np.zeros((0, d))
-                _, g_cen, g_ctx, g_negs = sgns_step(
-                    vec_in[cen[p]], vec_out[ctx[p]], neg_rows
+                _chunk_update(
+                    vec_in[cen[p]][None], vec_out[ctx[p]][None], vec_out[negs[p]][None],
+                    negs[p][None] != ctx[p], lr, steps[p],
                 )
-                d_in[cen[p]] -= lr * g_cen
-                d_out[ctx[p]] -= lr * g_ctx
-                for row, g in zip(live, g_negs):
-                    d_out[row] -= lr * g
-            vec_in += d_in
-            vec_out += d_out
+            for p in range(b):
+                vec_in[cen[p]] += steps[p, 0]
+            for p in range(b):
+                vec_out[ctx[p]] += steps[p, 1]
+            for p in range(b):
+                for j in range(k):
+                    vec_out[negs[p, j]] += steps[p, 2 + j]
     return vec_in, vec_out
 
 
@@ -189,13 +189,50 @@ class TestTraining:
         assert np.abs(space.vectors - ref_in).max() <= 1e-12
         assert np.abs(space.context_vectors - ref_out).max() <= 1e-12
 
+    def test_float32_training_close_to_float64(self):
+        # The same schedule in float64 (the mirror above) moves no value by
+        # more than 1e-5 of the largest; measured: 1.2e-6.
+        rng = np.random.default_rng(70)
+        corpus = random_corpus(rng, 300, vocab_size=40, min_len=4, max_len=12)
+        config = SgnsConfig(
+            dimension=24, window=3, negatives=2, epochs=2, seed=3,
+            initial_learning_rate=0.05,
+        )
+        space = train_sgns(corpus, config)
+        assert space.vectors.dtype == np.float64
+        for got, want in zip(
+            (space.vectors, space.context_vectors), mirror_train(corpus, config, np.float64)
+        ):
+            assert np.abs(got - want).max() <= 1e-5 * np.abs(want).max()
+            assert not np.array_equal(got, want)
+
+    @pytest.mark.parametrize("lr", [1e3, 1e8, 1e30])
+    def test_divergence_raises_not_warns(self, lr):
+        # Under the suite's error::RuntimeWarning filter, a float32 overflow
+        # must end in TrainingDivergedError (at 1e8 and 1e30), never in a
+        # warning or in non-finite vectors. At 1e3 the run stays finite.
+        rng = np.random.default_rng(9)
+        corpus = random_corpus(rng, 30, vocab_size=12)
+        config = SgnsConfig(
+            dimension=8, window=3, epochs=2, seed=21, initial_learning_rate=lr
+        )
+        if lr < 1e8:
+            space = train_sgns(corpus, config)
+            assert np.isfinite(space.vectors).all()
+            assert np.isfinite(space.context_vectors).all()
+            assert np.abs(space.vectors).max() > 1e6
+        else:
+            with pytest.raises(TrainingDivergedError, match="non-finite") as excinfo:
+                train_sgns(corpus, config)
+            assert excinfo.value.step >= 1
+
     def test_zero_epochs_keeps_initialization(self):
         rng = np.random.default_rng(8)
         corpus = random_corpus(rng, 10, vocab_size=6)
         config = SgnsConfig(dimension=4, window=2, epochs=0, seed=11)
         space = train_sgns(corpus, config)
         init_rng = np.random.default_rng(11)
-        expected = (init_rng.random((len(space.words), 4)) - 0.5) / 4
+        expected = ((init_rng.random((len(space.words), 4)) - 0.5) / 4).astype(np.float32)
         assert np.array_equal(space.vectors, expected)
         assert not space.context_vectors.any()
 
@@ -374,20 +411,6 @@ class TestEpochPairs:
                 want_rng.integers(0, 1000, size=3).tolist()
             )
             assert got_rng.random() == want_rng.random()
-
-
-class TestScatterAdd:
-    def test_matches_add_at_with_repeated_rows(self):
-        rng = np.random.default_rng(3)
-        for n_rows, d, b in ((1, 1, 50), (5, 3, 200), (40, 17, 1000)):
-            start = rng.standard_normal((n_rows, d))
-            rows = np.minimum(rng.zipf(1.5, size=b) - 1, n_rows - 1)
-            values = rng.standard_normal((b, d))
-            want = start.copy()
-            np.add.at(want, rows, values)
-            got = start.copy()
-            _scatter_add(got, rows, values)
-            assert np.abs(got - want).max() <= 1e-12
 
 
 def space_of(words, vectors):

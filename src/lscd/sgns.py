@@ -15,8 +15,11 @@ pairs in closed form from that span and its place in the sentence, shuffles
 the pair indices and lists the pairs one block at a time: no array holds all
 of an epoch's pairs. Training runs in float32, as word2vec and gensim do:
 each chunk's updates are added to the matrices one at a time, centers, then
-context words, then negatives, each in pair order. The returned vectors are
-the float64 values of the trained float32 ones.
+context words, then negatives, each in pair order. They are added as
+complex64 pairs of adjacent float32 columns: complex addition adds the two
+halves apart, so each value gets the same float32 additions in the same
+order, and one scatter visits half as many elements. The returned vectors
+are the float64 values of the trained float32 ones.
 
 One function, `_chunk_update`, computes the loss and the gradients: training
 calls it once per chunk, and `sgns_step`, which the gradient checks test, is
@@ -127,7 +130,7 @@ def _chunk_update(
     # sigmoid computes in float64; the (b, d) products take out's dtype.
     pos_coef = ((1.0 - sigmoid(pos_z)) * lr).astype(out.dtype, copy=False)
     neg_coef = (-(sigmoid(neg_z) * live) * lr).astype(out.dtype, copy=False)
-    d_cen, d_ctx, d_neg = np.split(out, (b, 2 * b))
+    d_cen, d_ctx, d_neg = out[:b], out[b : 2 * b], out[2 * b :]
     np.multiply(pos_coef[:, None], u_ctx, out=d_cen)
     d_cen += np.einsum("bk,bkd->bd", neg_coef, u_neg)
     np.multiply(pos_coef[:, None], v_cen, out=d_ctx)
@@ -225,11 +228,14 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
     rng = np.random.default_rng(config.seed)
 
     # The input and output vectors are the two halves of one float32 matrix,
-    # so that a chunk's updates to both take one scatter into its flat view.
-    weights = np.zeros((2 * n_words, d), dtype=np.float32)
-    flat = weights.reshape(-1)
-    columns = np.arange(d)
-    vec_in, vec_out = weights[:n_words], weights[n_words:]
+    # so that a chunk's updates to both take one scatter into its flat
+    # complex64 view. An odd d takes a pad column that only ever adds 0.
+    width = d + d % 2
+    half = width // 2
+    weights = np.zeros((2 * n_words, width), dtype=np.float32)
+    flat = weights.view(np.complex64).reshape(-1)
+    columns = np.arange(half)
+    vec_in, vec_out = weights[:n_words, :d], weights[n_words:, :d]
     vec_in[:] = (rng.random((n_words, d)) - 0.5) / d
 
     noise = freq**config.noise_exponent
@@ -243,7 +249,12 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
         keep_prob = np.minimum(1.0, np.sqrt(ratio) + ratio)
 
     k = config.negatives
-    deltas = np.empty(((2 + k) * _CHUNK, d), dtype=np.float32)
+    # A chunk's gathered rows, steps and flat index go to buffers kept across
+    # chunks: new arrays of this size per chunk made malloc hand their pages
+    # back and fault them in again, tens of thousands of times per d=300 space.
+    gathered = np.empty(((2 + k) * _CHUNK, d), dtype=np.float32)
+    deltas = np.zeros(((2 + k) * _CHUNK, width), dtype=np.float32)
+    indices = np.empty(((2 + k) * _CHUNK, half), dtype=np.intp)
     lr0 = config.initial_learning_rate
     lr_floor = lr0 * _LR_FLOOR_FACTOR
     word_ids = {w: i for i, w in enumerate(words)}
@@ -279,18 +290,26 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
             # Every delta comes from these gathers and the input and output
             # rows are disjoint, so one scatter over both halves applies what
             # two would. np.add.at adds each element in index order.
-            out = deltas[: (2 + k) * len(cen)]
+            b = len(cen)
+            v_cen, u_ctx = gathered[:b], gathered[b : 2 * b]
+            u_neg = gathered[2 * b : (2 + k) * b].reshape(b, k, d)
+            # Every id is in range; "clip" lets take write into `out` in
+            # place, where "raise" copies through a new array.
+            np.take(vec_in, cen, axis=0, out=v_cen, mode="clip")
+            np.take(vec_out, ctx, axis=0, out=u_ctx, mode="clip")
+            np.take(vec_out, negs, axis=0, out=u_neg, mode="clip")
+            out = deltas[: (2 + k) * b]
             rows = np.concatenate((cen, n_words + ctx, n_words + negs.reshape(-1)))
+            index = indices[: len(rows)]
+            np.add((rows * half)[:, None], columns, out=index)
             # A diverging run overflows float32; the finite checks report it.
             with np.errstate(over="ignore", invalid="ignore"):
-                chunk_loss = _chunk_update(
-                    vec_in[cen], vec_out[ctx], vec_out[negs], live, lr, out
-                )
+                chunk_loss = _chunk_update(v_cen, u_ctx, u_neg, live, lr, out[:, :d])
                 if not np.isfinite(chunk_loss):
                     raise TrainingDivergedError(
                         f"non-finite loss in update chunk {step}", step=step
                     )
-                np.add.at(flat, (rows[:, None] * d + columns).ravel(), out.ravel())
+                np.add.at(flat, index.ravel(), out.view(np.complex64).ravel())
             epoch_loss += chunk_loss
         losses.append(epoch_loss / n_pairs)
         # Freed before the next epoch builds its own.

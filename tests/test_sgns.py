@@ -178,16 +178,60 @@ def mirror_train(
 
 class TestTraining:
     def test_chunked_update_matches_per_pair_reference(self):
-        rng = np.random.default_rng(7)
-        corpus = random_corpus(rng, 12, vocab_size=9, min_len=4, max_len=7)
-        config = SgnsConfig(
-            dimension=5, window=2, negatives=2, epochs=2, seed=3,
-            initial_learning_rate=0.05,
-        )
-        space = train_sgns(corpus, config)
-        ref_in, ref_out = mirror_train(corpus, config)
-        assert np.abs(space.vectors - ref_in).max() <= 1e-12
-        assert np.abs(space.context_vectors - ref_out).max() <= 1e-12
+        # An odd dimension trains with a pad column, an even one without:
+        # both give the mirror's float32 values bit for bit.
+        for dimension in (5, 6):
+            rng = np.random.default_rng(7)
+            corpus = random_corpus(rng, 12, vocab_size=9, min_len=4, max_len=7)
+            config = SgnsConfig(
+                dimension=dimension, window=2, negatives=2, epochs=2, seed=3,
+                initial_learning_rate=0.05,
+            )
+            space = train_sgns(corpus, config)
+            ref_in, ref_out = mirror_train(corpus, config)
+            assert space.vectors.tobytes() == ref_in.astype(np.float64).tobytes()
+            assert space.context_vectors.tobytes() == ref_out.astype(np.float64).tobytes()
+
+    @pytest.mark.parametrize("dimension", [6, 7])
+    def test_one_complex64_add_at_per_chunk(self, monkeypatch, dimension):
+        # Each chunk's steps go to both matrices in one np.add.at on a flat
+        # complex64 view: 2·V·ceil(d/2) elements, two float32 columns each.
+        rng = np.random.default_rng(8)
+        corpus = random_corpus(rng, 80, vocab_size=12)
+        config = SgnsConfig(dimension=dimension, window=3, negatives=2, epochs=1, seed=5)
+        want = train_sgns(corpus, config)
+        ids, offsets, words, _ = _corpus_ids(corpus)
+        replay = np.random.default_rng(config.seed)
+        replay.random((len(words), dimension))
+        n_pairs = int(_epoch_pairs(ids, offsets, config.window, replay, None)[2][-1])
+        assert n_pairs > 2 * _CHUNK
+
+        calls = []
+
+        class CountingAdd:
+            def __call__(self, *args, **kwargs):
+                return np.add(*args, **kwargs)
+
+            def at(self, target, index, values):
+                calls.append((target.dtype, target.size, len(index), values.dtype))
+                np.add.at(target, index, values)
+
+        class NumpyCountingAddAt:
+            add = CountingAdd()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(sgns_module, "np", NumpyCountingAddAt())
+        got = train_sgns(corpus, config)
+        half = (dimension + 1) // 2
+        assert len(calls) == -(-n_pairs // _CHUNK)
+        for target_dtype, size, _, values_dtype in calls:
+            assert target_dtype == values_dtype == np.complex64
+            assert size == 2 * len(words) * half
+        assert sum(n for _, _, n, _ in calls) == (2 + config.negatives) * n_pairs * half
+        assert got.vectors.tobytes() == want.vectors.tobytes()
+        assert got.context_vectors.tobytes() == want.context_vectors.tobytes()
 
     def test_float32_training_close_to_float64(self):
         # The same schedule in float64 (the mirror above) moves no value by
@@ -424,20 +468,31 @@ class TestVectorFormat:
     files the static and align stages hand downstream."""
 
     def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(17)
-        corpus = random_corpus(rng, 20, vocab_size=10)
-        trained = train_sgns(corpus, SgnsConfig(dimension=6, window=2, epochs=1, seed=4))
-        space = space_of(trained.words, trained.vectors)
-        save_space(space, tmp_path, "t1")
-        again = load_space(tmp_path, "t1")
-        assert again.words == space.words
-        assert again.word_ids == space.word_ids
-        assert np.array_equal(again.vectors, space.vectors)
-        # saving what was loaded rewrites both files byte for byte
-        (tmp_path / "again").mkdir()
-        save_space(again, tmp_path / "again", "t1")
-        for name in ("t1.npy", "t1.words.txt"):
-            assert (tmp_path / "again" / name).read_bytes() == (tmp_path / name).read_bytes()
+        # An odd dimension trains with a pad column, which must not leak into
+        # the returned matrices or the files.
+        for dimension in (6, 7):
+            rng = np.random.default_rng(17)
+            corpus = random_corpus(rng, 20, vocab_size=10)
+            trained = train_sgns(
+                corpus, SgnsConfig(dimension=dimension, window=2, epochs=1, seed=4)
+            )
+            for matrix in (trained.vectors, trained.context_vectors):
+                assert matrix.dtype == np.float64
+                assert matrix.shape == (len(trained.words), dimension)
+                assert matrix.flags.c_contiguous
+            space = space_of(trained.words, trained.vectors)
+            directory = tmp_path / f"d{dimension}"
+            (directory / "again").mkdir(parents=True)
+            save_space(space, directory, "t1")
+            again = load_space(directory, "t1")
+            assert again.words == space.words
+            assert again.word_ids == space.word_ids
+            assert again.vectors.tobytes() == space.vectors.tobytes()
+            assert again.vectors.shape == space.vectors.shape
+            # saving what was loaded rewrites both files byte for byte
+            save_space(again, directory / "again", "t1")
+            for name in ("t1.npy", "t1.words.txt"):
+                assert (directory / "again" / name).read_bytes() == (directory / name).read_bytes()
 
     def test_load_bit_identical_to_per_value_float(self, tmp_path):
         rng = np.random.default_rng(19)

@@ -149,8 +149,13 @@ def _contextual(
         positions[:, None] + np.arange(2 * radius + 1)
     ]
     out = np.zeros((len(positions), model.embeddings.shape[1]))
+    # One row buffer serves every offset: gathered, -1 rows zeroed, weighted.
+    rows = np.empty_like(out)
     for k, weight in enumerate(model.offset_weights):
-        out += weight * model._embed(window[:, k])
+        np.take(model.embeddings, window[:, k], axis=0, out=rows, mode="clip")
+        rows[window[:, k] < 0] = 0.0
+        rows *= weight
+        out += rows
     return out
 
 
@@ -393,16 +398,15 @@ def extract_uses(
     code = {w: k for k, w in enumerate(targets)}
     target_of = np.array([code.get(w, -1) for w in enc.words] + [-1])[padded]
     ids = np.append(model.token_ids(enc.words), -1)[padded]
+    # Every hit, target by target and in corpus order within a target.
     hits = np.flatnonzero(target_of >= 0)
+    hits = hits[np.argsort(target_of[hits], kind="stable")]
+    bounds = np.cumsum(np.bincount(target_of[hits], minlength=len(targets)))[:-1]
     sentences = np.searchsorted(starts, hits, side="right") - 1
-    mine = {w: target_of[hits] == code[w] for w in targets}
+    vectors = np.split(_contextual(model, ids, hits), bounds)
+    indices = np.split(sentences, bounds)
     return [
-        UseSet(
-            word=w,
-            period=corpus.period,
-            vectors=_contextual(model, ids, hits[mine[w]]),
-            sentence_indices=sentences[mine[w]].tolist(),
-        )
+        UseSet(w, corpus.period, vectors[code[w]], indices[code[w]].tolist())
         for w in targets
     ]
 

@@ -383,11 +383,9 @@ class Pipeline:
     def train_static(self, beside=None) -> StageResult:
         """Train one SGNS space per period on the ingested corpora.
 
-        `beside` is an optional stage method that reads the raw corpora
-        (`score` passes `extract`). If this stage must be built, `beside` is
-        built with it: in a helper process forked for the stage while this
-        one trains, or first, in this process, when only one core is usable.
-        While SGNS trains, a process keeps no dataset and only the SGNS corpora.
+        `beside` is an optional stage method (`score` passes `extract`). If
+        this stage must be built, `_train_spaces` builds `beside` as well, and
+        its error is raised once this stage is published.
         """
         cfg = self.cfg
         ingest = self.ingest()
@@ -413,23 +411,9 @@ class Pipeline:
                 (c, dataclasses.replace(cfg.sgns, seed=seeds[c.period]), directory)
                 for c in corpora
             ]
-            # Not every platform reports affinity; then count every CPU.
-            if hasattr(os, "sched_getaffinity"):
-                cores = len(os.sched_getaffinity(0))
-            else:
-                cores = os.cpu_count()
-            if cores > 1:
-                beside_errors.extend(_train_with_helper(self, jobs, beside))
-                return
-            # On one core a helper would only compete with this process.
-            if beside is not None:
-                beside()
-            self._memo.clear()
-            for job in jobs:
-                _train_space(*job)
+            _train_spaces(self, jobs, beside, beside_errors)
 
         static = self._ensure("static", payload, build)
-        # The static stage is published even if the branch beside it failed.
         if beside_errors:
             raise beside_errors[0]
         return static
@@ -527,9 +511,9 @@ class Pipeline:
 
     def score(self) -> StageResult:
         cfg = self.cfg
-        # The static and the contextual branch share nothing until here: the
-        # contextual one is built beside SGNS training if that must run. The
-        # raw corpora are not read after it.
+        # The static and the contextual lane share nothing until here: the
+        # contextual one is built while the helper trains SGNS, if that must
+        # run. The raw corpora are not read after it.
         self.train_static(beside=self.extract)
         uses_stage = self.extract()
         self._memo.clear()
@@ -775,88 +759,86 @@ def _train_space(corpus: Corpus, config: SgnsConfig, directory: Path) -> None:
 
 # -- the helper process ------------------------------------------------------
 #
-# The static stage shares its SGNS jobs with one helper forked from the
-# calling process; the helper inherits them, so no corpus is pickled. Both
-# take job indices from one queue that holds each index, then one stop
-# marker per process, so each job runs once, in whichever process frees
-# first. Before it takes any, the helper builds the contextual branch, if
-# asked to, from the raw corpora it inherited. It reports on a pipe: the
-# contextual stages' results or error first, then one message per space.
+# When more than one core is usable, the static stage forks one helper before
+# it builds anything else. The helper inherits the SGNS jobs, so no corpus is
+# pickled. Both processes take job indices from one queue that holds each
+# index, then one stop marker per process, so each job runs once, in
+# whichever process frees first. The calling process first builds the
+# contextual lane, if asked to, then drops the raw corpora: no process holds
+# them or a dataset while it trains SGNS. The helper stops at its first SGNS
+# error and sends it on a pipe whose write end only it holds, so the caller
+# reads that error or, once the helper exits, the end of the pipe. On one
+# core the calling process runs the same loop alone.
 
 
-def _train_with_helper(pipeline: Pipeline, jobs: list, beside) -> list[Exception]:
-    """Train `jobs` beside a forked helper that first builds `beside`, if
-    given. Adds the stages it built to `pipeline.stages` and returns its
-    error, if any; an SGNS error is raised. The helper is joined first."""
-    # Imported here so that runs which find the static stage cached, or run
-    # on one core, never pay for the import.
-    import multiprocessing
+def _train_spaces(
+    pipeline: Pipeline, jobs: list, beside, beside_errors: list[Exception]
+) -> None:
+    """Build `beside`, if given, adding its error to `beside_errors`, then
+    train the `jobs` that the helper, if one is forked, leaves. An SGNS error
+    is raised once the helper is stopped and joined."""
+    indices = [*range(len(jobs)), None, None]  # one stop marker per process
+    # Not every platform reports affinity; then count every CPU.
+    affinity = getattr(os, "sched_getaffinity", lambda pid: range(os.cpu_count()))
+    helper, take = None, iter(indices).__next__
+    if len(affinity(0)) > 1:
+        # Imported here so that runs which find the static stage cached, or
+        # run on one core, never pay for the import.
+        import multiprocessing
 
-    # Fork, unlike spawn and forkserver, re-imports neither the caller's
-    # __main__ nor numpy, and hands the helper the parsed corpora.
-    context = multiprocessing.get_context("fork")
-    queue = context.SimpleQueue()
-    for index in [*range(len(jobs)), None, None]:  # one stop marker per process
-        queue.put(index)
-    reports, report = context.Pipe(duplex=False)
-    helper = context.Process(
-        target=_helper, args=(pipeline, beside, jobs, queue, report)
-    )
-    helper.start()
-    report.close()
+        # Fork, unlike spawn and forkserver, re-imports neither the caller's
+        # __main__ nor numpy, and hands the helper the parsed corpora.
+        context = multiprocessing.get_context("fork")
+        queue = context.SimpleQueue()
+        for index in indices:
+            queue.put(index)
+        take = queue.get
+        reports, report = context.Pipe(duplex=False)
+        helper = context.Process(target=_helper, args=(pipeline, jobs, take, report))
+        helper.start()
+        report.close()
+    try:
+        if beside is not None:
+            try:
+                beside()
+            except Exception as exc:
+                beside_errors.append(exc)
+        pipeline._memo.clear()
+        while (index := take()) is not None:
+            # A space the helper failed stops the stage before another starts.
+            if helper and reports.poll():
+                _check_helper(helper, reports)
+            _train_space(*jobs[index])
+        if helper:
+            _check_helper(helper, reports)
+    finally:
+        if helper:
+            helper.terminate()  # a no-op once it has been joined
+            helper.join()
+            reports.close()
+            queue.close()
+
+
+def _helper(pipeline: Pipeline, jobs: list, take, report) -> None:
     pipeline._memo.clear()
     try:
-        trained = 0
-        while (index := queue.get()) is not None:
+        while (index := take()) is not None:
             _train_space(*jobs[index])
-            trained += 1
-        errors = []
-        for _ in range(len(jobs) - trained + (beside is not None)):
-            try:
-                kind, value = reports.recv()
-            except EOFError:
-                helper.join()
-                raise LscdError(
-                    f"the helper process exited (code {helper.exitcode}) "
-                    "before it reported all its work"
-                ) from None
-            if kind == "stages":
-                pipeline.stages.update(value)
-            elif kind == "beside":
-                errors.append(value)
-            elif value is not None:
-                raise value
-        return errors
-    except BaseException:
-        helper.terminate()
-        raise
-    finally:
+    except Exception as exc:
+        report.send(exc)
+
+
+def _check_helper(helper, reports) -> None:
+    """Wait for the helper's error or its exit. Raise that error, or an
+    LscdError if the helper exited with a non-zero code."""
+    try:
+        error = reports.recv()
+    except EOFError:
         helper.join()
-        reports.close()
-        queue.close()
-        # A terminated helper leaves the stage it was building unpublished.
-        for leftover in (pipeline.cfg.output_dir / STAGING_DIR).glob(f"*-{helper.pid}"):
-            shutil.rmtree(leftover, ignore_errors=True)
-
-
-def _helper(pipeline: Pipeline, beside, jobs: list, queue, report) -> None:
-    if beside is not None:
-        built = set(pipeline.stages)
-        try:
-            beside()
-        except Exception as exc:
-            report.send(("beside", exc))
-        else:
-            new = {k: v for k, v in pipeline.stages.items() if k not in built}
-            report.send(("stages", new))
-    pipeline._memo.clear()
-    while (index := queue.get()) is not None:
-        try:
-            _train_space(*jobs[index])
-        except Exception as exc:
-            report.send(("space", exc))
-        else:
-            report.send(("space", None))
+        if helper.exitcode:
+            raise LscdError(f"the helper process exited with code {helper.exitcode}") from None
+        return
+    raise error
 
 
 def _load_uses(directory: Path, period: str, targets: list[str]) -> list[UseSet]:

@@ -531,7 +531,9 @@ class TestExtraction:
         corpus = random_corpus(rng, 40, vocab_size=10)
         a = extract_uses(model, corpus, ["w1", "w2"])
         b = extract_uses(model, corpus, ["w1", "w2"])
-        for x, y in zip(a, b):
+        # Neither the order of the targets nor a repeated one changes a set.
+        c = extract_uses(model, corpus, ["w2", "w1", "w2"])
+        for x, y in zip(a + a[::-1] + a[1:], b + c):
             assert np.array_equal(x.vectors, y.vectors)
             assert x.sentence_indices == y.sentence_indices
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import pickle
 import re
 import shutil
 import signal
@@ -461,7 +460,7 @@ class TestStaticStage:
         (tmp_path / "forked").mkdir()
         (tmp_path / "single").mkdir()
         forked = Pipeline(load_config(write_config(tmp_path / "forked", bench_dir)))
-        forked_static = forked.train_static()
+        forked.score()
 
         def no_fork(*args, **kwargs):
             raise AssertionError("a helper process was forked on one core")
@@ -469,12 +468,19 @@ class TestStaticStage:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         monkeypatch.setattr(multiprocessing, "get_context", no_fork)
         single = Pipeline(load_config(write_config(tmp_path / "single", bench_dir)))
-        single_static = single.train_static()
-        assert not single_static.cached
-        for name in (f"{p}.{ext}" for p in (T1, T2) for ext in ("npy", "words.txt")):
-            assert (single_static.path / name).read_bytes() == (
-                forked_static.path / name
-            ).read_bytes()
+        single.score()
+        # The spaces, the classifier and the uses built beside them.
+        names = {
+            "static": [f"{p}.{ext}" for p in (T1, T2) for ext in ("npy", "words.txt")],
+            "clf-model": ["model.npz"],
+            "uses": [f"uses_{p}.{ext}" for p in (T1, T2) for ext in ("npy", "index.tsv")],
+        }
+        for stage, files in names.items():
+            assert not single.stages[stage].cached
+            for name in files:
+                assert (single.stages[stage].path / name).read_bytes() == (
+                    forked.stages[stage].path / name
+                ).read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -498,24 +504,21 @@ def handoff(tmp_path_factory, bench_dir):
         write_config(tmp, bench), overrides={"gold": None, "binary_gold": None}
     )
 
-    # The contextual branch runs in the static stage's helper process, so
-    # every call and payload is appended to a file that both processes write.
-    log = tmp / "log"
-    log.mkdir()
+    # Every stage is built in this process; the helper only trains spaces.
     recorded = ("align_spaces", "extract_uses", "static_score", "contextual_score")
+    calls: dict[str, list] = {name: [] for name in recorded}
+    payloads: dict[str, dict] = {}
 
     def recording(name, fn):
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            with open(log / f"{name}.pickle", "ab") as fh:
-                pickle.dump((args, result), fh)
+            calls[name].append((args, result))
             return result
 
         return wrapper
 
     def recording_key(payload):
-        with open(log / "payloads.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload) + "\n")
+        payloads[payload["stage"]] = payload
         return key_of(payload)
 
     key_of = pipeline_module._key_of
@@ -525,15 +528,6 @@ def handoff(tmp_path_factory, bench_dir):
         mp.setattr(pipeline_module, "_key_of", recording_key)
         pipeline = Pipeline(config)
         pipeline.run_all()
-    calls: dict[str, list] = {name: [] for name in recorded}
-    for name in recorded:
-        with open(log / f"{name}.pickle", "rb") as fh:
-            while fh.peek(1):
-                calls[name].append(pickle.load(fh))
-    payloads: dict[str, dict] = {}
-    for line in (log / "payloads.jsonl").read_text(encoding="utf-8").splitlines():
-        payload = json.loads(line)
-        payloads[payload["stage"]] = payload
     return config, pipeline, calls, payloads
 
 
@@ -687,9 +681,9 @@ class TestCorpusMemo:
         extract_uses = pipeline_module.extract_uses
         train_sgns = pipeline_module.train_sgns
         build_clf_dataset = pipeline_module.build_clf_dataset
-        # With a helper, the static stage's helper process extracts the uses
-        # and may train either space, so loads, extractions and trainings are
-        # logged to files that both processes append to; fork keeps each
+        # This process builds the contextual lane. With a helper, either
+        # process may train either space, so loads, extractions and trainings
+        # are logged to files that both processes append to; fork keeps each
         # object's id(). On one core, everything runs in this process.
         for cores in (2, 1):
             run_dir = tmp_path / f"cores{cores}"
@@ -748,8 +742,8 @@ class TestCorpusMemo:
             # No threshold applies, so SGNS trains on the very corpora parsed.
             trained = sorted(map(int, sgns_log.read_text().split()))
             assert trained == sorted((id(c1), id(c2)))
-            if cores == 1:  # the dataset was built, and freed, in this process
-                assert datasets and datasets[0]() is None
+            # The dataset was built, and freed, in this process.
+            assert datasets and datasets[0]() is None
             assert not pipeline._memo
             for corpus, (path, period) in zip((c1, c2), raw):
                 fresh = load_corpus(path, period)
@@ -806,56 +800,85 @@ class TestPipelineErrors:
         assert not list(config.output_dir.glob(".staging/*"))
 
     # Each case runs `run_all` in its own process, under a timeout, so that
-    # a deadlock between the static stage and its helper fails the test.
+    # a deadlock between the static stage and its helper fails the test. The
+    # script logs each classifier and SGNS call with the pid that made it.
     FAULT_SCRIPT = """
 import json, os, sys, time
 import lscd.pipeline as pipeline_module
 from lscd.errors import DatasetError, StageError, TrainingDivergedError
 from lscd.pipeline import Pipeline, load_config
 
-config_path, fault, pid_file = sys.argv[1:]
+config_path, fault, cores, log = sys.argv[1:]
+caller = os.getpid()
 train_time_classifier = pipeline_module.train_time_classifier
 train_sgns = pipeline_module.train_sgns
+helper = pipeline_module._helper
+
+def record(event):
+    with open(log, "a") as fh:
+        fh.write(f"{event} {os.getpid()}\\n")
+
+def events():
+    if not os.path.exists(log):
+        return []
+    with open(log) as fh:
+        return [(event, int(pid)) for event, pid in map(str.split, fh)]
+
+def wait_for(event):  # until another process has logged `event`
+    while not any(e == event and pid != os.getpid() for e, pid in events()):
+        time.sleep(0.01)
 
 def classifier(*args, **kwargs):
-    with open(pid_file + ".tmp", "w") as fh:
-        fh.write(str(os.getpid()))
-    os.replace(pid_file + ".tmp", pid_file)
+    record("classifier")
+    if fault == "helper-space":
+        wait_for("helper-done")  # the helper has failed its space and stopped
+    elif cores == "2":
+        wait_for("sgns")  # the helper has started a space
     if fault == "classifier":
         raise DatasetError("injected classifier failure")
-    time.sleep(120)  # still busy when t1 fails
     return train_time_classifier(*args, **kwargs)
 
 def sgns(corpus, config):
-    if fault == "t1" and corpus.period == "t1":
-        while not os.path.exists(pid_file):
-            time.sleep(0.01)
-        raise TrainingDivergedError("injected t1 failure", step=3)
+    record("sgns")
+    if fault == "helper-space" and os.getpid() != caller:
+        raise TrainingDivergedError("injected helper failure", step=3)
+    if fault == "helper-exit" and os.getpid() != caller:
+        os._exit(3)
+    if fault == "caller-space":
+        if os.getpid() != caller:
+            time.sleep(120)  # still busy when the caller fails
+        raise TrainingDivergedError("injected caller failure", step=3)
     return train_sgns(corpus, config)
+
+def logged_helper(*args):
+    helper(*args)
+    record("helper-done")
 
 pipeline_module.train_time_classifier = classifier
 pipeline_module.train_sgns = sgns
-os.sched_getaffinity = lambda pid: {0, 1}  # fork the helper on any machine
+pipeline_module._helper = logged_helper
+os.sched_getaffinity = lambda pid: set(range(int(cores)))
 try:
     Pipeline(load_config(config_path)).run_all()
     result = {"stage": None}
 except StageError as exc:
     cause = exc.cause
     result = {"stage": exc.stage, "cause": type(cause).__name__, "message": str(cause)}
-helper = int(open(pid_file).read())
-try:
-    os.kill(helper, 0)  # a zombie still takes signal 0
-    result["helper_alive"] = True
-except ProcessLookupError:
-    result["helper_alive"] = False
-result["helper_forked"] = helper != os.getpid()
+result["events"] = [(event, "caller" if pid == caller else pid) for event, pid in events()]
+result["helpers_alive"] = []
+for pid in {pid for _, pid in events()} - {caller}:
+    try:
+        os.kill(pid, 0)  # a zombie still takes signal 0
+        result["helpers_alive"].append(pid)
+    except ProcessLookupError:
+        pass
 print(json.dumps(result))
 """
 
-    def run_fault(self, tmp_path, bench_dir, fault):
+    def run_fault(self, tmp_path, bench_dir, fault, cores=2):
         config_path = write_config(tmp_path, bench_dir)
         argv = [sys.executable, "-c", self.FAULT_SCRIPT, str(config_path), fault,
-                str(tmp_path / "helper.pid")]
+                str(cores), str(tmp_path / "calls.log")]
         # In its own session, so that a hung run's helper is killed with it.
         with subprocess.Popen(
             argv, env=SRC_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
@@ -868,27 +891,59 @@ print(json.dumps(result))
                 proc.communicate()
                 pytest.fail(f"run_all with a {fault} failure hung")
         assert proc.returncode == 0, err
+        result = json.loads(out.splitlines()[-1])
+        assert not result["helpers_alive"]  # every helper was reaped
         # One name per published key directory, and per staging copy left.
         published = sorted(p.parent.name for p in (tmp_path / "out").glob("*/*"))
-        return json.loads(out.splitlines()[-1]), published
+        return result, published
 
-    def test_helper_classifier_failure_surfaces_after_static(self, tmp_path, bench_dir):
-        result, published = self.run_fault(tmp_path, bench_dir, "classifier")
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_classifier_failure_surfaces_after_static(self, tmp_path, bench_dir, cores):
+        result, published = self.run_fault(tmp_path, bench_dir, "classifier", cores)
         assert result["stage"] == "clf-model"
         assert result["cause"] == "DatasetError"
         assert result["message"] == "injected classifier failure"
-        assert result["helper_forked"] and not result["helper_alive"]
-        # The static stage, trained beside the failed branch, is kept.
+        # The calling process ran the classifier; on two cores a forked
+        # helper was training meanwhile.
+        assert ["classifier", "caller"] in result["events"]
+        trainers = {pid for event, pid in result["events"] if event == "sgns"}
+        assert len(trainers) == cores
+        # The static stage, trained beside the failed lane, is kept, on one
+        # core as on two.
         assert published == ["clf-dataset", "ingest", "static"]
 
-    def test_caller_t1_failure_stops_busy_helper(self, tmp_path, bench_dir):
-        result, published = self.run_fault(tmp_path, bench_dir, "t1")
+    def test_helper_space_failure_stops_the_stage(self, tmp_path, bench_dir):
+        result, published = self.run_fault(tmp_path, bench_dir, "helper-space")
         assert result["stage"] == "static"
         assert result["cause"] == "TrainingDivergedError"
-        assert result["message"] == "injected t1 failure"
-        assert result["helper_forked"] and not result["helper_alive"]
-        # Neither the helper's clf-model nor the static stage left a copy.
-        assert published == ["clf-dataset", "ingest"]
+        assert result["message"] == "injected helper failure"
+        # The helper failed its first space and stopped; the caller finished
+        # the contextual lane and then started no space.
+        (trainer,) = [pid for event, pid in result["events"] if event == "sgns"]
+        assert trainer != "caller"
+        assert published == ["clf-dataset", "clf-model", "ingest", "uses"]
+
+    def test_helper_exit_without_report_fails_the_stage(self, tmp_path, bench_dir):
+        # A helper that dies in a space (as if killed) sends no error; its
+        # exit code still keeps the static stage from being published.
+        result, published = self.run_fault(tmp_path, bench_dir, "helper-exit")
+        assert result["stage"] == "static"
+        assert result["cause"] == "LscdError"
+        assert result["message"] == "the helper process exited with code 3"
+        assert published == ["clf-dataset", "clf-model", "ingest", "uses"]
+
+    def test_caller_space_failure_stops_busy_helper(self, tmp_path, bench_dir):
+        result, published = self.run_fault(tmp_path, bench_dir, "caller-space")
+        assert result["stage"] == "static"
+        assert result["cause"] == "TrainingDivergedError"
+        assert result["message"] == "injected caller failure"
+        # Each process started one space. The helper was stopped in the middle
+        # of its space (and reaped, see run_fault); the static stage left no
+        # copy.
+        trainers = [pid for event, pid in result["events"] if event == "sgns"]
+        assert "caller" in trainers and len(set(trainers)) == len(trainers) == 2
+        assert all(event != "helper-done" for event, _ in result["events"])
+        assert published == ["clf-dataset", "clf-model", "ingest", "uses"]
 
     def test_evaluate_without_gold_rejected(self, tmp_path, bench_dir):
         config_path = write_config(tmp_path, bench_dir)

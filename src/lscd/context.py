@@ -37,6 +37,9 @@ from .errors import DatasetError, FormatError, TrainingDivergedError
 from .sgns import sigmoid
 
 _CLF_CHUNK = 32  # training sentences per SGD step
+# float64 values in one row block of _contextual: 512 KiB, which stays in
+# cache (2^17 ran slower, and 2^15 no faster).
+_BLOCK_ELEMENTS = 2**16
 _LR_FLOOR_FACTOR = 1e-2
 _LOSS_EPS = 1e-12
 
@@ -122,7 +125,8 @@ class TimeClassifier:
         """Per-token contextual vectors: each token's embedding mixed with its
         neighbors under the learned offset weighting. Out-of-vocabulary tokens
         contribute a zero embedding."""
-        return _contextual(self, self.token_ids(tokens), np.arange(len(tokens)))
+        ids = np.pad(self.token_ids(tokens), self.radius, constant_values=-1)
+        return _contextual(self, ids, np.arange(len(tokens)) + self.radius)
 
     def predict_proba(self, tokens: list[str]) -> float:
         """Probability that the sentence comes from the second period."""
@@ -141,21 +145,30 @@ def _contextual(
     model: TimeClassifier, ids: np.ndarray, positions: np.ndarray
 ) -> np.ndarray:
     """Contextual vectors at `positions` of `ids`: the sum over offsets o of
-    weight[o] * the embedding row of ids[p + o], ids of -1 and positions past
-    either end giving zero rows. Sentences may share one `ids` if each is
-    followed by `radius` ids of -1. O(len(positions) * (2r+1) * d)."""
-    radius = model.radius
-    window = np.pad(ids, radius, constant_values=-1)[
-        positions[:, None] + np.arange(2 * radius + 1)
-    ]
-    out = np.zeros((len(positions), model.embeddings.shape[1]))
-    # One row buffer serves every offset: gathered, -1 rows zeroed, weighted.
-    rows = np.empty_like(out)
-    for k, weight in enumerate(model.offset_weights):
-        np.take(model.embeddings, window[:, k], axis=0, out=rows, mode="clip")
-        rows[window[:, k] < 0] = 0.0
-        rows *= weight
-        out += rows
+    weight[o] * the embedding row of ids[p + o], ids of -1 giving zero rows.
+    Callers pad: every position needs `radius` ids on each side, and
+    sentences that share one `ids` are kept apart by `radius` ids of -1.
+    O(len(positions) * (2r+1) * d).
+
+    The positions go in row blocks of at most `_BLOCK_ELEMENTS` values
+    through one reused buffer, so the working set beside the output stays
+    in cache at any corpus size; each row takes the same additions in the
+    same order whatever the block."""
+    d = model.embeddings.shape[1]
+    out = np.zeros((len(positions), d))
+    block = max(1, _BLOCK_ELEMENTS // d)
+    # One buffer serves every block and offset: gathered, -1 rows zeroed,
+    # weighted.
+    buffer = np.empty((min(block, len(positions)), d))
+    for start in range(0, len(positions), block):
+        at = positions[start : start + block]
+        rows = buffer[: len(at)]
+        for offset, weight in enumerate(model.offset_weights, start=-model.radius):
+            window = ids[at + offset]
+            np.take(model.embeddings, window, axis=0, out=rows, mode="clip")
+            rows[window < 0] = 0.0
+            rows *= weight
+            out[start : start + len(at)] += rows
     return out
 
 
@@ -388,22 +401,24 @@ def extract_uses(
     do with it.
     """
     enc = corpus.encoded
-    # The corpus's ids with `radius` separators (-1) after each sentence, so
-    # that no window reaches into the next one. Sentence i starts at
-    # starts[i]; a table's last entry, which -1 selects, is its separator value.
-    starts = enc.offsets + model.radius * np.arange(len(enc.offsets))
-    gaps = np.repeat(starts[:-1] - enc.offsets[:-1], np.diff(enc.offsets))
-    padded = np.full(starts[-1], -1, dtype=np.int64)
-    padded[np.arange(len(enc.ids)) + gaps] = enc.ids
+    radius = model.radius
     code = {w: k for k, w in enumerate(targets)}
-    target_of = np.array([code.get(w, -1) for w in enc.words] + [-1])[padded]
-    ids = np.append(model.token_ids(enc.words), -1)[padded]
+    target_of = np.array([code.get(w, -1) for w in enc.words], dtype=np.int32)[enc.ids]
     # Every hit, target by target and in corpus order within a target.
     hits = np.flatnonzero(target_of >= 0)
     hits = hits[np.argsort(target_of[hits], kind="stable")]
     bounds = np.cumsum(np.bincount(target_of[hits], minlength=len(targets)))[:-1]
-    sentences = np.searchsorted(starts, hits, side="right") - 1
-    vectors = np.split(_contextual(model, ids, hits), bounds)
+    sentences = np.searchsorted(enc.offsets, hits, side="right") - 1
+    # The embedding rows of the corpus's tokens with `radius` separators (-1)
+    # before each sentence and after the last, so that no window reaches
+    # into another sentence or past either end: sentence i moves by
+    # radius * (i + 1).
+    ids = np.insert(
+        model.token_ids(enc.words).astype(np.int32)[enc.ids],
+        np.repeat(enc.offsets, radius),
+        -1,
+    )
+    vectors = np.split(_contextual(model, ids, hits + radius * (sentences + 1)), bounds)
     indices = np.split(sentences, bounds)
     return [
         UseSet(w, corpus.period, vectors[code[w]], indices[code[w]].tolist())
@@ -463,12 +478,18 @@ def save_uses(use_sets: list[UseSet], directory: str | Path, period: str) -> Non
     use vector, set after set, and `uses_<period>.index.tsv` one
     `word<TAB>row count<TAB>sentence indices` line per set, in order."""
     directory = Path(directory)
-    rows = [u.vectors for u in use_sets]
-    np.save(
-        directory / f"uses_{period}.npy",
-        np.concatenate(rows) if rows else np.empty((0, 0)),
-        allow_pickle=False,
-    )
+    rows = [np.asarray(u.vectors, dtype="<f8") for u in use_sets]
+    if any(r.ndim != 2 for r in rows) or len({r.shape[1] for r in rows}) > 1:
+        raise ValueError("use sets have different dimensionality")
+    # np.save's bytes for the sets' concatenation, written set by set with no
+    # copy as large as the period's vectors.
+    shape = (sum(len(r) for r in rows), rows[0].shape[1] if rows else 0)
+    with open(directory / f"uses_{period}.npy", "wb") as fh:
+        np.lib.format.write_array_header_1_0(
+            fh, {"descr": "<f8", "fortran_order": False, "shape": shape}
+        )
+        for r in rows:
+            fh.write(np.ascontiguousarray(r).data)
     with open(directory / f"uses_{period}.index.tsv", "w", encoding="utf-8") as fh:
         for u in use_sets:
             indices = " ".join(map(str, u.sentence_indices))

@@ -5,10 +5,12 @@ import dataclasses
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lscd import context
 from lscd.context import (
     EncoderConfig,
     TimeClassifier,
@@ -537,6 +539,62 @@ class TestExtraction:
             assert np.array_equal(x.vectors, y.vectors)
             assert x.sentence_indices == y.sentence_indices
 
+    @pytest.mark.parametrize("rows_per_block", [1, 4])
+    def test_row_blocks_match_one_block(self, rows_per_block, monkeypatch):
+        # The targets sit first and last in the first and last sentences,
+        # where only the separators around the corpus pad the windows; one
+        # target is asked for twice, and an empty sentence and an unknown
+        # token sit in between.
+        model = small_model(seed=11, radius=3)
+        sentences = [
+            ["w1", "w5", "w2", "w1", "w2"],
+            ["w3", "oov", "w4"],
+            [],
+            ["w2"],
+            ["w4", "w6", "w1", "w7", "w3"],
+        ]
+        targets = ["w1", "w3", "w4", "w2", "w1"]
+        corpus = Corpus(sentences, T1)
+        whole = extract_uses(model, corpus, targets)
+        # 10 uses: blocks of 1 row, and blocks of 4 with a ragged last one.
+        assert sum(len(u.vectors) for u in whole[:4]) == 10
+        monkeypatch.setattr(context, "_BLOCK_ELEMENTS", rows_per_block * 6)
+        blocked = extract_uses(model, corpus, targets)
+        for x, y in zip(whole, blocked):
+            assert x.word == y.word
+            assert x.vectors.shape == y.vectors.shape
+            assert x.vectors.tobytes() == y.vectors.tobytes()
+            assert x.sentence_indices == y.sentence_indices
+            expected = [
+                reference_mix(reference_embed(model, s), model.offset_weights)[pos]
+                for s in sentences
+                for pos, token in enumerate(s)
+                if token == x.word
+            ]
+            assert np.array_equal(x.vectors, np.array(expected))
+        assert whole[0].sentence_indices == [0, 0, 4]
+        assert whole[2].sentence_indices == [1, 4]
+
+    def test_working_set_is_output_index_and_blocks(self):
+        # The traced peak is the output, the corpus's int32 index arrays, a
+        # few int64 arrays and a list entry per use, and two row blocks: no
+        # buffer or window as large as the output.
+        model = small_model(seed=12, dimension=128, radius=2)
+        corpus = random_corpus(np.random.default_rng(13), 4000, vocab_size=10)
+        padded_tokens = len(corpus.encoded.ids) + 2 * len(corpus.encoded.offsets)
+        tracemalloc.start()
+        try:
+            uses = extract_uses(model, corpus, ["w1", "w2", "w3"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(u.vectors.nbytes for u in uses)
+        n_uses = sum(len(u.vectors) for u in uses)
+        assert output > 8 * 8 * context._BLOCK_ELEMENTS
+        assert peak <= (
+            output + 16 * padded_tokens + 64 * n_uses + 2 * 8 * context._BLOCK_ELEMENTS
+        )
+
     def test_context_sensitivity(self, rng):
         # After training, the same word in two very different planted
         # contexts must sit farther apart than in two identical contexts.
@@ -610,6 +668,26 @@ class TestUseSetTsv:
     def test_empty_list_roundtrip(self, tmp_path):
         save_uses([], tmp_path, T2)
         assert load_uses(tmp_path, T2) == []
+
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_array_file_is_np_save_of_the_concatenation(self, tmp_path, empty):
+        uses = [] if empty else self.make_uses()
+        save_uses(uses, tmp_path, T1)
+        rows = [u.vectors for u in uses]
+        np.save(tmp_path / "expected.npy", np.concatenate(rows) if rows else np.empty((0, 0)))
+        got = (tmp_path / f"uses_{T1}.npy").read_bytes()
+        assert got == (tmp_path / "expected.npy").read_bytes()
+
+    def test_fortran_ordered_set_roundtrips(self, tmp_path):
+        vectors = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        save_uses([UseSet("w", T1, vectors, [0, 0, 1, 2])], tmp_path, T1)
+        (again,) = load_uses(tmp_path, T1)
+        assert np.array_equal(again.vectors, vectors)
+
+    def test_sets_of_different_widths_refused(self, tmp_path):
+        uses = [UseSet("a", T1, np.ones((2, 3)), [0, 1]), UseSet("b", T1, np.ones((1, 4)), [0])]
+        with pytest.raises(ValueError, match="dimensionality"):
+            save_uses(uses, tmp_path, T1)
 
     def test_two_rows_same_word_period_one_set(self, tmp_path):
         self.write_index(tmp_path, "word\t2\t0 3\n")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,8 +243,6 @@ class TestMpeDistance:
         assert mpe_distance(np.tile(v, (400, 1)), np.tile(v, (300, 1))) == 0.0
 
     def test_sampled_path_blocked_memory_and_value(self, monkeypatch):
-        import tracemalloc
-
         rng = np.random.default_rng(13)
         a = rng.standard_normal((300, 64))
         b = rng.standard_normal((400, 64))
@@ -263,6 +262,22 @@ class TestMpeDistance:
             jj = draw.integers(0, len(b), size=budget)
             assert value == float(np.linalg.norm(a[ii] - b[jj], axis=1).mean())
             assert peak - 24 * budget <= 8 * 8 * 1024
+
+    def test_exact_path_working_set(self):
+        # Beside the centered copies of both sets and their squared norms,
+        # the exact path holds a few temporaries of one row block each.
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((1500, 64))
+        b = rng.standard_normal((1450, 64))
+        tracemalloc.start()
+        try:
+            value = mpe_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        centered = a.nbytes + b.nbytes + 8 * (len(a) + len(b))
+        assert peak <= centered + 4 * 8 * scoring._BLOCK_ELEMENTS
+        assert abs(value - fsum_mpe(a, b)) <= 1e-12 * value
 
     @pytest.mark.parametrize("budget", [0, -5])
     def test_budget_below_one_rejected(self, budget):

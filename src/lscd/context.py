@@ -32,7 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import T2, PERIODS, Corpus, TimeClfDataset, TRAIN, TEST, _load_array, _read_lines
+from .corpus import (
+    PERIODS, TEST, TRAIN, Corpus, TimeClfDataset, _gather, _load_array, _read_lines,
+)
 from .errors import DatasetError, FormatError, TrainingDivergedError
 from .sgns import sigmoid
 
@@ -114,9 +116,9 @@ class TimeClassifier:
         return (len(self.offset_weights) - 1) // 2
 
     def token_ids(self, tokens: list[str]) -> np.ndarray:
-        """Embedding row of each token, -1 for out-of-vocabulary tokens."""
+        """Embedding row of each token (int32), -1 for out-of-vocabulary tokens."""
         get = self.word_ids.get
-        return np.array([get(t, -1) for t in tokens], dtype=np.int64)
+        return np.array([get(t, -1) for t in tokens], dtype=np.int32)
 
     def _embed(self, ids: np.ndarray) -> np.ndarray:
         return np.where((ids >= 0)[:, None], self.embeddings[ids], 0.0)
@@ -172,15 +174,6 @@ def _contextual(
     return out
 
 
-def _gather(ids: np.ndarray, offsets: np.ndarray, sentences: np.ndarray):
-    """The ids of `sentences` (sentence i is ids[offsets[i]:offsets[i + 1]])
-    laid end to end, and their lengths."""
-    lengths = offsets[sentences + 1] - offsets[sentences]
-    ends = np.cumsum(lengths)
-    shift = np.repeat(offsets[sentences] - (ends - lengths), lengths)
-    return ids[np.arange(ends[-1]) + shift], lengths
-
-
 def _forward(
     model: TimeClassifier,
     ids: np.ndarray,
@@ -217,10 +210,10 @@ def _loss_and_grads(
     rows: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Summed binary cross-entropy of sentences laid end to end in `ids`
-    (see _forward), labelled 1 for the second period, and each parameter's
-    gradient summed over them, all at the current parameters. Row t of
-    ``grads["embeddings"]`` is the gradient for token t's embedding row. A
-    non-finite logit raises TrainingDivergedError at `step`."""
+    (see _forward), labelled 1 (or true) for the second period, and each
+    parameter's gradient summed over them, all at the current parameters.
+    Row t of ``grads["embeddings"]`` is the gradient for token t's embedding
+    row. A non-finite logit raises TrainingDivergedError at `step`."""
     rows, reach, weight, proj, sentence, z = _forward(model, ids, lengths, rows)
     if not np.isfinite(z).all():
         raise TrainingDivergedError(f"non-finite activation at step {step}", step=step)
@@ -310,7 +303,7 @@ def train_time_classifier(
     """
     train_idx = dataset.indices(TRAIN)
     test_idx = dataset.indices(TEST)
-    if not train_idx or not test_idx:
+    if not len(train_idx) or not len(test_idx):
         raise DatasetError("both train and test splits must be non-empty")
 
     enc = dataset.encoded
@@ -334,8 +327,6 @@ def train_time_classifier(
     )
     ids = model.token_ids(enc.words)[enc.ids]
     offsets = enc.offsets
-    labels = np.array([1.0 if label == T2 else 0.0 for label in dataset.labels])
-    train_idx = np.array(train_idx)
 
     lr0 = config.learning_rate
     lr_floor = lr0 * _LR_FLOOR_FACTOR
@@ -351,10 +342,10 @@ def train_time_classifier(
             progress = (epoch + start / len(order)) / config.epochs
             lr = max(lr0 * (1.0 - progress), lr_floor)
             chunk_ids, lengths = _gather(ids, offsets, chunk)
-            loss_sum += _chunk_step(model, chunk_ids, lengths, labels[chunk], lr, step)
+            loss_sum += _chunk_step(model, chunk_ids, lengths, dataset.is_t2[chunk], lr, step)
         train_loss.append(loss_sum / len(order) if len(order) else math.nan)
 
-    metrics = _evaluate(model, ids, offsets, labels, np.array(test_idx))
+    metrics = _evaluate(model, ids, offsets, dataset.is_t2, test_idx)
     metrics.train_loss = train_loss
     return model, metrics
 
@@ -367,8 +358,8 @@ def _evaluate(
     sentences: np.ndarray,
 ) -> ClfMetrics:
     """Metrics over the non-empty `sentences` of the flat `ids` (see
-    _gather), `labels` holding 1 for the second period, `_CLF_CHUNK`
-    sentences per forward pass."""
+    _gather), `labels` true for the second period, `_CLF_CHUNK` sentences
+    per forward pass."""
     sentences = sentences[offsets[sentences + 1] > offsets[sentences]]
     if not len(sentences):
         raise DatasetError("test split has no usable examples")
@@ -414,7 +405,7 @@ def extract_uses(
     # into another sentence or past either end: sentence i moves by
     # radius * (i + 1).
     ids = np.insert(
-        model.token_ids(enc.words).astype(np.int32)[enc.ids],
+        model.token_ids(enc.words)[enc.ids],
         np.repeat(enc.offsets, radius),
         -1,
     )

@@ -230,35 +230,48 @@ def choose_mask_token(
     return token
 
 
-@dataclass(eq=False)  # no field-wise ==: `encoded` holds arrays
+@dataclass(eq=False)  # no field-wise ==: it holds arrays
 class TimeClfDataset:
     """Balanced sentence-classification examples labeled with their period.
-    Example i is sentence i of `encoded`, with labels[i] and splits[i]."""
+    Example i is sentence i of `encoded`; is_t2[i] says it comes from the
+    second period and train[i] that it is in the train split."""
 
     encoded: Encoded
-    labels: list[str]  # T1 or T2
-    splits: list[str]  # TRAIN or TEST
+    is_t2: np.ndarray  # bool
+    train: np.ndarray  # bool
     masked: bool
     mask_token: str
 
     def __post_init__(self):
-        if not len(self.encoded.offsets) - 1 == len(self.labels) == len(self.splits):
-            raise ValueError("encoded, labels and splits must have equal length")
+        if not len(self.encoded.offsets) - 1 == len(self.is_t2) == len(self.train):
+            raise ValueError("encoded, is_t2 and train must have equal length")
 
     @property
     def examples(self) -> list[tuple[list[str], str]]:
-        """(tokens, label) per example, decoded anew on each access."""
-        return list(zip(self.encoded.decode(), self.labels))
+        """(tokens, period) per example, decoded anew on each access."""
+        periods = [PERIODS[t] for t in self.is_t2.tolist()]
+        return list(zip(self.encoded.decode(), periods))
 
-    def indices(self, split: str) -> list[int]:
-        return [i for i, s in enumerate(self.splits) if s == split]
+    def indices(self, split: str) -> np.ndarray:
+        """The examples of `split` (TRAIN or TEST), in order."""
+        if split not in (TRAIN, TEST):
+            raise ValueError(f"split must be {TRAIN!r} or {TEST!r}, got {split!r}")
+        return np.flatnonzero(self.train == (split == TRAIN))
 
     def label_counts(self, split: str | None = None) -> dict[str, int]:
-        counts = {T1: 0, T2: 0}
-        for label, s in zip(self.labels, self.splits):
-            if split is None or s == split:
-                counts[label] += 1
-        return counts
+        is_t2 = self.is_t2 if split is None else self.is_t2[self.indices(split)]
+        n_t2 = int(np.count_nonzero(is_t2))
+        return {T1: len(is_t2) - n_t2, T2: n_t2}
+
+
+def _gather(ids: np.ndarray, offsets: np.ndarray, sentences: np.ndarray):
+    """The ids of `sentences` (sentence i is ids[offsets[i]:offsets[i + 1]])
+    laid end to end, and their lengths. The index is shifted in place, so
+    no third array as long as the result is alive at once."""
+    lengths = offsets[sentences + 1] - offsets[sentences]
+    index = np.repeat(offsets[sentences] - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(len(index))
+    return ids[index], lengths
 
 
 def build_clf_dataset(
@@ -312,14 +325,12 @@ def build_clf_dataset(
     index = {w: i for i, w in enumerate(words)}
     tables = [np.array([index[w] for w in o], dtype=np.int32) for o in own]
     ids = np.concatenate([table[e.ids] for table, e in zip(tables, encs)])
-    starts = np.r_[encs[0].offsets[:-1], encs[1].offsets[:-1] + len(encs[0].ids)]
-    sizes = np.diff(np.r_[starts, len(ids)])[chosen]
-    offsets = np.r_[0, np.cumsum(sizes)]
-    gather = np.repeat(starts[chosen] - offsets[:-1], sizes) + np.arange(offsets[-1])
+    offsets = np.r_[encs[0].offsets, encs[1].offsets[1:] + len(encs[0].ids)]
+    ids, lengths = _gather(ids, offsets, chosen)
     dataset = TimeClfDataset(
-        encoded=Encoded(ids[gather], offsets, words),
-        labels=[T1 if g < n1 else T2 for g in chosen.tolist()],
-        splits=[TRAIN if t else TEST for t in train[order].tolist()],
+        encoded=Encoded(ids, np.r_[0, np.cumsum(lengths)], words),
+        is_t2=chosen >= n1,
+        train=train[order],
         masked=masked,
         mask_token=mask_token,
     )

@@ -56,18 +56,14 @@ class Theta:
 
 
 def average_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n of `values` ascending, tied groups averaged."""
-    values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values), dtype=np.float64)
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
+    """Ranks 1..n of `values` ascending, tied groups averaged. A group that
+    ends at rank `last` and holds `size` values takes last - (size - 1) / 2.
+    NaNs tie with each other and rank last. No run passes one: the gold
+    loaders refuse non-finite values and unscorable targets are median-filled."""
+    _, group, size = np.unique(
+        np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True
+    )
+    return (np.cumsum(size) - (size - 1) / 2)[group]
 
 
 def ranks_from_scores(scores: ChangeScores) -> Ranking:

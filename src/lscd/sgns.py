@@ -10,16 +10,18 @@ context) pairs; the procedure is deterministic given the seed.
 
 Training reads the corpus in its flat form (`Corpus.encoded`): one id array
 over all sentences and the sentence offsets into it, renumbered so that id 0
-is the most frequent word. An epoch draws every token's span, counts its
-pairs in closed form from that span and its place in the sentence, shuffles
-the pair indices and lists the pairs one block at a time: no array holds all
-of an epoch's pairs. Training runs in float32, as word2vec and gensim do:
-each chunk's updates are added to the matrices one at a time, centers, then
-context words, then negatives, each in pair order. They are added as
-complex64 pairs of adjacent float32 columns: complex addition adds the two
-halves apart, so each value gets the same float32 additions in the same
-order, and one scatter visits half as many elements. The returned vectors
-are the float64 values of the trained float32 ones.
+is the most frequent word. An epoch draws every token's keep mask when
+frequent words are subsampled, then every kept token's span, each in one
+draw over the whole corpus. It counts a token's pairs in closed form from
+its span and its place in the sentence, shuffles the pair indices and lists
+the pairs one block at a time: no array holds all of an epoch's pairs.
+Training runs in float32, as word2vec and gensim do: each chunk's updates
+are added to the matrices one at a time, centers, then context words, then
+negatives, each in pair order. They are added as complex64 pairs of
+adjacent float32 columns: complex addition adds the two halves apart, so
+each value gets the same float32 additions in the same order, and one
+scatter visits half as many elements. The returned vectors are the float64
+values of the trained float32 ones.
 
 One function, `_chunk_update`, computes the loss and the gradients: training
 calls it once per chunk, and `sgns_step`, which the gradient checks test, is
@@ -182,26 +184,20 @@ def _epoch_pairs(
     (sentence i is ids[offsets[i]:offsets[i + 1]]) and count one epoch's
     pairs. Returns the kept tokens' ids, how many contexts each takes from
     its left, and `first`: token c's pairs are first[c]:first[c + 1], its
-    left contexts then its right ones, in corpus order (see _list_pairs)."""
+    left contexts then its right ones, in corpus order (see _list_pairs).
+    With `keep_prob`, every token's keep mask is drawn first, in one draw;
+    the kept tokens then draw their spans as a corpus without it does."""
+    if keep_prob is not None:
+        keep = rng.random(len(ids)) < keep_prob[ids]
+        ids, offsets = ids[keep], np.r_[0, np.cumsum(keep)][offsets]
+    # Sentences of fewer than two tokens draw no span. One draw for all
+    # spans yields what one draw per sentence would: a bounded integer draw
+    # takes a buffered 32-bit half of the stream, so a call that ends on a
+    # half leaves the other half to the next call.
     lengths = np.diff(offsets)
-    if keep_prob is None:
-        # Sentences of fewer than two tokens draw no span. One draw for all
-        # spans yields what one draw per sentence would: a bounded integer
-        # draw takes a buffered 32-bit half of the stream, so a call that
-        # ends on a half leaves the other half to the next call.
-        long = lengths >= 2
-        ids, lengths = ids[np.repeat(long, lengths)], lengths[long]
-        span = rng.integers(1, window + 1, size=len(ids))
-    else:
-        # Each sentence draws its keep mask, then its spans, in turn.
-        kept, spans = [ids[:0]], [np.empty(0, dtype=np.int64)]
-        for sentence in np.split(ids, offsets[1:-1]):
-            sentence = sentence[rng.random(len(sentence)) < keep_prob[sentence]]
-            if len(sentence) >= 2:
-                kept.append(sentence)
-                spans.append(rng.integers(1, window + 1, size=len(sentence)))
-        ids, span = np.concatenate(kept), np.concatenate(spans)
-        lengths = np.array([len(k) for k in kept[1:]], dtype=np.int64)
+    long = lengths >= 2
+    ids, lengths = ids[np.repeat(long, lengths)], lengths[long]
+    span = rng.integers(1, window + 1, size=len(ids))
     position = np.arange(len(ids)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     left = np.minimum(span, position)
     right = np.minimum(span, np.repeat(lengths, lengths) - 1 - position)

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from lscd.context import _CLF_CHUNK, EncoderConfig, TimeClassifier
-from lscd.corpus import T2, TRAIN, TimeClfDataset
+from lscd.corpus import TRAIN, TimeClfDataset
 from lscd.errors import DatasetError, TrainingDivergedError
 
 
@@ -108,10 +108,10 @@ def reference_train(
     every parameter by -lr times the sum of its per-example reference
     gradients at the pre-chunk parameters."""
     train_idx = dataset.indices(TRAIN)
-    if not train_idx:
+    if not len(train_idx):
         raise DatasetError("train split must be non-empty")
-    examples = dataset.examples
-    words = sorted({t for tokens, _ in examples for t in tokens})
+    sentences = dataset.encoded.decode()
+    words = sorted({t for tokens in sentences for t in tokens})
     if vocabulary is not None:
         seen = set(words)
         words.extend(w for w in vocabulary if w not in seen)
@@ -129,16 +129,15 @@ def reference_train(
     lr0 = config.learning_rate
     step = 0
     for epoch in range(config.epochs):
-        order = [train_idx[int(i)] for i in rng.permutation(len(train_idx))]
-        order = [i for i in order if examples[i][0]]
+        order = train_idx[rng.permutation(len(train_idx))].tolist()
+        order = [i for i in order if sentences[i]]
         for start in range(0, len(order), _CLF_CHUNK):
             step += 1
             progress = (epoch + start / len(order)) / config.epochs
             lr = max(lr0 * (1.0 - progress), lr0 * 1e-2)
             total = None
             for i in order[start : start + _CLF_CHUNK]:
-                tokens, label = examples[i]
-                grads = reference_grads(model, tokens, 1 if label == T2 else 0, step)
+                grads = reference_grads(model, sentences[i], int(dataset.is_t2[i]), step)
                 total = grads if total is None else {
                     name: total[name] + grad for name, grad in grads.items()
                 }

@@ -52,8 +52,8 @@ def marker_corpora(rng, n=1200, vocab_size=40):
 
 
 def shuffle_labels(dataset: TimeClfDataset, seed: int) -> TimeClfDataset:
-    order = np.random.default_rng(seed).permutation(len(dataset.labels))
-    return dataclasses.replace(dataset, labels=[dataset.labels[i] for i in order.tolist()])
+    order = np.random.default_rng(seed).permutation(len(dataset.is_t2))
+    return dataclasses.replace(dataset, is_t2=dataset.is_t2[order])
 
 
 def small_model(seed=0, dimension=6, radius=2) -> TimeClassifier:
@@ -81,17 +81,19 @@ def lengths_dataset(radius: int, repeats: int = 6) -> TimeClfDataset:
     """Sentences of every length 1..2*radius+2 in both periods, with repeated
     tokens, split so that every length is trained on."""
     rng = np.random.default_rng(radius)
-    sentences, labels, splits = [], [], []
+    sentences, is_t2 = [], []
     for _ in range(repeats):
         for length in range(1, 2 * radius + 3):
-            for label in (T1, T2):
+            for label in (False, True):
                 sentences.append([f"w{i}" for i in rng.integers(0, 5, size=length)])
-                labels.append(label)
-                splits.append("train")
+                is_t2.append(label)
+    n_train = len(sentences)
     sentences += [["w1", "w2"], ["w3"]]
-    labels += [T1, T2]
-    splits += ["test", "test"]
-    return TimeClfDataset(encode(sentences), labels, splits, masked=False, mask_token="[MASK]")
+    is_t2 += [False, True]
+    train = np.arange(len(sentences)) < n_train
+    return TimeClfDataset(
+        encode(sentences), np.array(is_t2), train, masked=False, mask_token="[MASK]"
+    )
 
 
 class TestGradients:
@@ -141,20 +143,20 @@ class TestSharedPass:
         import lscd.context
 
         rng = np.random.default_rng(radius)
-        sentences, labels = [], []
+        sentences, is_t2 = [], []
         for _ in range(6):
             for length in range(2 * radius + 3):
-                for label in (T1, T2):
+                for label in (False, True):
                     sentences.append([f"w{i}" for i in rng.integers(0, 4, size=length)])
-                    labels.append(label)
+                    is_t2.append(label)
         n_train = len(sentences)
         n_empty = sum(not sentence for sentence in sentences)
         assert (n_train - n_empty) % lscd.context._CLF_CHUNK
         sentences += [["w1", "w2"], ["w3"]]
-        labels += [T1, T2]
-        splits = ["train"] * n_train + ["test", "test"]
+        is_t2 += [False, True]
+        train = np.arange(len(sentences)) < n_train
         dataset = TimeClfDataset(
-            encode(sentences), labels, splits, masked=False, mask_token="[MASK]"
+            encode(sentences), np.array(is_t2), train, masked=False, mask_token="[MASK]"
         )
 
         chunk_step = lscd.context._chunk_step
@@ -416,8 +418,8 @@ class TestTraining:
     def test_empty_split_rejected(self):
         dataset = TimeClfDataset(
             encoded=encode([["a"], ["b"]]),
-            labels=[T1, T2],
-            splits=["train", "train"],
+            is_t2=np.array([False, True]),
+            train=np.array([True, True]),
             masked=False,
             mask_token="[MASK]",
         )

@@ -260,22 +260,29 @@ class TestBuildClfDataset:
         ds = build_clf_dataset(c1, c2, masked=False, seed=0)
         n_train = len(ds.indices(TRAIN))
         assert abs(n_train - 0.8 * len(ds.examples)) <= 1
+        assert sorted(np.r_[ds.indices(TRAIN), ds.indices(TEST)]) == list(range(200))
+        with pytest.raises(ValueError, match="split must be"):
+            ds.indices("tain")
 
     def test_no_token_lists_stored(self, rng):
         c1 = random_corpus(rng, 30, period=T1)
         c2 = random_corpus(rng, 40, period=T2, prefix="v")
         for masked in (False, True):
             ds = build_clf_dataset(c1, c2, masked=masked, seed=0)
-            assert vars(ds).keys() == {"encoded", "labels", "splits", "masked", "mask_token"}
-            assert len(ds.labels) == len(ds.splits) == 60
-            assert set(ds.labels) == {T1, T2}
+            assert vars(ds).keys() == {"encoded", "is_t2", "train", "masked", "mask_token"}
+            for flags in (ds.is_t2, ds.train):
+                assert flags.dtype == bool and flags.shape == (60,)
+            assert 0 < ds.is_t2.sum() < 60
 
     def test_lengths_must_agree(self):
         enc = encode([["a"], ["b"]])
         with pytest.raises(ValueError, match="equal length"):
-            TimeClfDataset(enc, [T1], [TRAIN, TEST], masked=False, mask_token="[MASK]")
+            TimeClfDataset(
+                enc, np.array([False]), np.array([True, False]), masked=False,
+                mask_token="[MASK]",
+            )
         with pytest.raises(ValueError, match="equal length"):
-            TimeClfDataset(enc, [T1, T2, T1], [TRAIN, TEST, TEST], False, "[MASK]")
+            TimeClfDataset(enc, np.ones(3, bool), np.ones(3, bool), False, "[MASK]")
 
     def test_masking_replaces_unique_tokens(self, rng):
         c1 = Corpus([["shared", "only1"], ["shared", "x"]], T1)
@@ -297,14 +304,14 @@ class TestBuildClfDataset:
         c2 = random_corpus(rng, 90, period=T2)
         a = build_clf_dataset(c1, c2, masked=True, seed=7)
         b = build_clf_dataset(c1, c2, masked=True, seed=7)
-        assert a.examples == b.examples and a.splits == b.splits
+        assert a.examples == b.examples and np.array_equal(a.train, b.train)
 
     def test_different_seeds_differ(self, rng):
         c1 = random_corpus(rng, 60, period=T1)
         c2 = random_corpus(rng, 90, period=T2)
         a = build_clf_dataset(c1, c2, masked=False, seed=7)
         b = build_clf_dataset(c1, c2, masked=False, seed=8)
-        assert a.examples != b.examples or a.splits != b.splits
+        assert a.examples != b.examples or not np.array_equal(a.train, b.train)
 
     @given(
         st.integers(min_value=1, max_value=60),

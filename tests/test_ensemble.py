@@ -54,14 +54,17 @@ class TestRanksFromScores:
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(0)
-        values = rng.standard_normal(100)
-        words = [f"w{i}" for i in range(100)]
-        scores = ChangeScores(
-            model=CONTEXT_FREE, scores=dict(zip(words, map(float, values)))
-        )
-        ranking = ranks_from_scores(scores)
-        oracle = sort_oracle_ranks(list(values))
-        assert [ranking.ranks[w] for w in words] == oracle
+        # Distinct values, then tie-heavy ones where 0.0 and -0.0 tie.
+        tied = rng.integers(-3, 4, size=100) * 0.5
+        tied[rng.random(100) < 0.2] = -0.0
+        for values in (rng.standard_normal(100), tied):
+            words = [f"w{i}" for i in range(100)]
+            scores = ChangeScores(
+                model=CONTEXT_FREE, scores=dict(zip(words, map(float, values)))
+            )
+            ranking = ranks_from_scores(scores)
+            oracle = sort_oracle_ranks(list(values))
+            assert [ranking.ranks[w] for w in words] == oracle
 
     def test_source_defaults_to_model(self):
         scores = ChangeScores(model=CONTEXT_FREE, scores={"a": 1.0})
@@ -92,6 +95,10 @@ class TestRanksFromScores:
     @settings(max_examples=50, deadline=None)
     def test_matches_oracle_property(self, values):
         assert list(average_ranks(np.array(values))) == sort_oracle_ranks(values)
+
+    def test_nans_tie_and_rank_last(self):
+        nan = float("nan")
+        assert average_ranks(np.array([1.0, nan, nan, 0.0])).tolist() == [2.0, 3.5, 3.5, 1.0]
 
 
 class TestTheta:

@@ -68,7 +68,7 @@ GOLDEN = {
     "answers/graded_context_dependent.tsv": "6fdab56f4a28da21a0aeece3f3f9c726fb9e5292cb68bf981b260d45609d1437",
     "answers/graded_context_free.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
     "answers/graded_ensemble.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
-    "manifest.json": "6a6c2967ac0b1d13dbd6358ddf8f695483945ad5920d6749aee31aa6e5064f34",
+    "manifest.json": "4dc1d35ab4410c5678a282ce04898943852aa0fcaf903308c9dc0851695b2647",
     "clf-dataset/meta.json": "aab095a66fc4e0cae9edfd1df867518815aeaffdfa0a8201039e28c0238e5ead",
     "clf-model/metrics.tsv": "40879d8a0078eac7f3a55c92ef040a9b4b629b6bb8b39c340b4bdab62b4c3445",
     "clf-model/model.npz": "cdd2bac916b17cbd9815d9640ea1c3bc6aa7b293ed612ea1f75f1e6722684a17",

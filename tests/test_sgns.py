@@ -283,11 +283,15 @@ class TestTraining:
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(9)
         corpus = random_corpus(rng, 30, vocab_size=12)
-        config = SgnsConfig(dimension=8, window=3, epochs=2, seed=21)
-        a = train_sgns(corpus, config)
-        b = train_sgns(corpus, config)
-        assert np.array_equal(a.vectors, b.vectors)
-        assert np.array_equal(a.context_vectors, b.context_vectors)
+        for subsample_threshold in (None, 1e-2):
+            config = SgnsConfig(
+                dimension=8, window=3, epochs=2, seed=21,
+                subsample_threshold=subsample_threshold,
+            )
+            a = train_sgns(corpus, config)
+            b = train_sgns(corpus, config)
+            assert np.array_equal(a.vectors, b.vectors)
+            assert np.array_equal(a.context_vectors, b.context_vectors)
 
     def test_different_seeds_differ(self):
         rng = np.random.default_rng(10)
@@ -399,12 +403,13 @@ class TestTraining:
 
 
 def reference_epoch_pairs(encoded, window, rng, keep_prob):
-    """Per-token pair loop: the same RNG calls as _epoch_pairs, one
-    dynamic-window slice per center."""
+    """Per-token pair loop: the same RNG stream as _epoch_pairs, drawn
+    sentence by sentence (every sentence's keep mask, then every sentence's
+    spans), one dynamic-window slice per center."""
+    if keep_prob is not None:
+        encoded = [ids[rng.random(len(ids)) < keep_prob[ids]] for ids in encoded]
     centers, contexts = [], []
     for ids in encoded:
-        if keep_prob is not None:
-            ids = ids[rng.random(len(ids)) < keep_prob[ids]]
         n = len(ids)
         if n < 2:
             continue
@@ -455,6 +460,25 @@ class TestEpochPairs:
                 want_rng.integers(0, 1000, size=3).tolist()
             )
             assert got_rng.random() == want_rng.random()
+
+    def test_subsampling_adds_no_working_set(self):
+        # One epoch's arrays over a gen-bench corpus of about 194k tokens, at
+        # the word2vec threshold 1e-3, which keeps about 63% of its tokens.
+        # Measured: 38 B per token with subsampling, 57 without; a keep mask
+        # and spans drawn sentence by sentence held 71.
+        bench = generate_shift_benchmark(8, None, 20000, seed=7)
+        ids, offsets, _, freq = _corpus_ids(Corpus(bench.sentences_t1, T1))
+        del bench
+        ratio = 1e-3 / (freq / freq.sum())
+        peaks = []
+        for keep_prob in (None, np.minimum(1.0, np.sqrt(ratio) + ratio)):
+            tracemalloc.start()
+            try:
+                _epoch_pairs(ids, offsets, 10, np.random.default_rng(3), keep_prob)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= peaks[0]
 
 
 def space_of(words, vectors):

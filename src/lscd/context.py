@@ -18,22 +18,23 @@ sentences per SGD step and moves every parameter by the learning rate times
 the sum of the chunk's per-sentence gradients at the pre-step parameters;
 the embedding rows take that sum through `_scatter_add`.
 `classifier_loss_and_grads`, which the gradient check tests, is that pass on
-one sentence; evaluation and prediction use it too. save_uses and load_uses
-store one period's use sets exactly, as the `uses` stage hands them to
-`scores`.
+one sentence; evaluation and prediction use it too. save_uses stores one
+period's use sets exactly, as the `uses` stage hands them to `scores`;
+read_uses reads them back one set at a time, and load_uses is its list.
 """
 
 from __future__ import annotations
 
 import math
 import zipfile
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import (
-    PERIODS, TEST, TRAIN, Corpus, TimeClfDataset, _gather, _load_array, _read_lines,
+    PERIODS, TEST, TRAIN, Corpus, TimeClfDataset, _gather, _iter_lines, _load_array,
 )
 from .errors import DatasetError, FormatError, TrainingDivergedError
 from .sgns import sigmoid
@@ -487,28 +488,52 @@ def save_uses(use_sets: list[UseSet], directory: str | Path, period: str) -> Non
             fh.write(f"{u.word}\t{len(u.vectors)}\t{indices}\n")
 
 
-def load_uses(directory: str | Path, period: str) -> list[UseSet]:
-    """Read the use sets that save_uses wrote for `period`, in their order;
-    files that do not agree raise FormatError naming the file."""
+def read_uses(
+    directory: str | Path, period: str, words: list[str] | None = None
+) -> Iterator[UseSet]:
+    """The use sets that save_uses wrote for `period`, in their order, read
+    one at a time: each index row is parsed as it is reached and its set's
+    rows are read from the one open `uses_<period>.npy`, so a set is held
+    only while its caller keeps it. With `words`, the index must list
+    exactly those words, in order. Files that do not agree raise FormatError
+    naming the file, once the reader reaches the disagreement."""
     directory = Path(directory)
-    vectors = _load_array(directory / f"uses_{period}.npy")
+    array_path = directory / f"uses_{period}.npy"
     path = directory / f"uses_{period}.index.tsv"
-    words, counts, indices = [], [], []
-    for i, line in enumerate(_read_lines(path), start=1):
-        parts = line.split("\t")
-        try:
-            word, count, sids = parts[0], int(parts[1]), list(map(int, parts[2].split()))
-        except (IndexError, ValueError) as exc:
-            raise FormatError(f"malformed use-set index row in {path}", line=i) from exc
-        if len(parts) != 3 or len(sids) != count:
-            raise FormatError(f"malformed use-set index row in {path}", line=i)
-        words.append(word)
-        counts.append(count)
-        indices.append(sids)
-    if sum(counts) != len(vectors):
-        raise FormatError(f"{path} indexes {sum(counts)} uses for {len(vectors)} vectors")
-    blocks = np.split(vectors, np.cumsum(counts)[:-1]) if counts else []
-    return [
-        UseSet(word=w, period=period, vectors=v, sentence_indices=s)
-        for w, v, s in zip(words, blocks, indices)
-    ]
+    # Mapped for numpy's checks of the file and its length only: no page of
+    # the map is read, the rows come through `fh`.
+    header = _load_array(array_path, mmap_mode="r")
+    (rows, width), offset = header.shape, header.offset
+    if not header.flags.c_contiguous:
+        raise FormatError(f"array file {array_path} holds its values in Fortran order")
+    del header
+    with open(array_path, "rb") as fh:
+        fh.seek(offset)
+        indexed = i = 0
+        for i, line in enumerate(_iter_lines(path), start=1):
+            parts = line.split("\t")
+            try:
+                word, count, sids = parts[0], int(parts[1]), list(map(int, parts[2].split()))
+            except (IndexError, ValueError) as exc:
+                raise FormatError(f"malformed use-set index row in {path}", line=i) from exc
+            if len(parts) != 3 or len(sids) != count:
+                raise FormatError(f"malformed use-set index row in {path}", line=i)
+            if words is not None and (i > len(words) or word != words[i - 1]):
+                raise FormatError(f"{path} does not list the run's targets in order")
+            indexed += count
+            # Past the array's end the rows are only counted, for the error.
+            if indexed <= rows:
+                # Not bound here, so that the reader does not hold a set it
+                # has yielded.
+                yield UseSet(
+                    word, period, np.fromfile(fh, count=count * width).reshape(count, width), sids
+                )
+        if indexed != rows:
+            raise FormatError(f"{path} indexes {indexed} uses for {rows} vectors")
+        if words is not None and i != len(words):
+            raise FormatError(f"{path} does not list the run's targets in order")
+
+
+def load_uses(directory: str | Path, period: str) -> list[UseSet]:
+    """Every use set that save_uses wrote for `period` (see read_uses)."""
+    return list(read_uses(directory, period))

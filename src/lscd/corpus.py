@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter, defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -36,6 +36,11 @@ DEFAULT_MASK_TOKEN = "[MASK]"
 # and the divisor that turns a sentence count into a frequency threshold.
 THRESHOLD_SKIP_BELOW = 10**6
 THRESHOLD_DIVISOR = 5 * 10**4
+
+# Sentences per block of the classifier dataset's gather. A block's
+# temporaries, an int64 index of its tokens among them, grow with the block,
+# not with the corpus.
+_GATHER_BLOCK = 2**16
 
 
 def _check_period(period: str) -> str:
@@ -316,7 +321,7 @@ def build_clf_dataset(
     for first in (0, n):
         train[first + rng.permutation(n)[:n_train]] = True
     order = rng.permutation(2 * n)
-    chosen = np.concatenate(picked)[order]
+    chosen, train = np.concatenate(picked)[order], train[order]
 
     # The chosen sentences' ids, over both corpora's joint (masked) words.
     encs = [c.encoded for c in corpora]
@@ -324,13 +329,24 @@ def build_clf_dataset(
     words = list(dict.fromkeys(own[0] + own[1]))
     index = {w: i for i, w in enumerate(words)}
     tables = [np.array([index[w] for w in o], dtype=np.int32) for o in own]
-    ids = np.concatenate([table[e.ids] for table, e in zip(tables, encs)])
-    offsets = np.r_[encs[0].offsets, encs[1].offsets[1:] + len(encs[0].ids)]
-    ids, lengths = _gather(ids, offsets, chosen)
+    lengths = np.r_[np.diff(encs[0].offsets), np.diff(encs[1].offsets)][chosen]
+    offsets = np.r_[0, np.cumsum(lengths)]
+    ids = np.empty(offsets[-1], dtype=np.int32)
+    # Block by block, each corpus's sentences in the block are gathered from
+    # its own ids, through its own table, into their places in `ids`: no copy
+    # of both corpora's ids and no index over every chosen token is made.
+    for start in range(0, 2 * n, _GATHER_BLOCK):
+        block = chosen[start : start + _GATHER_BLOCK]
+        in_t2 = block >= n1
+        out = ids[offsets[start] : offsets[start + len(block)]]
+        from_t2 = np.repeat(in_t2, lengths[start : start + len(block)])
+        for flag, first, table, enc in zip((False, True), (0, n1), tables, encs):
+            sentences = block[in_t2 == flag] - first
+            out[from_t2 == flag] = table[_gather(enc.ids, enc.offsets, sentences)[0]]
     dataset = TimeClfDataset(
-        encoded=Encoded(ids, np.r_[0, np.cumsum(lengths)], words),
+        encoded=Encoded(ids, offsets, words),
         is_t2=chosen >= n1,
-        train=train[order],
+        train=train,
         masked=masked,
         mask_token=mask_token,
     )
@@ -347,11 +363,12 @@ def _check_balance(dataset: TimeClfDataset) -> None:
             )
 
 
-def _load_array(path: Path) -> np.ndarray:
+def _load_array(path: Path, mmap_mode: str | None = None) -> np.ndarray:
     """The float64 matrix in the `.npy` file `path`, read without pickle
-    support; any other content raises FormatError naming the file."""
+    support (or mapped, with `mmap_mode`); any other content raises
+    FormatError naming the file."""
     try:
-        array = np.load(path, allow_pickle=False)
+        array = np.load(path, mmap_mode=mmap_mode, allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise FormatError(f"corrupt array file {path}: {exc}") from exc
     if array.ndim != 2 or array.dtype != np.float64:
@@ -362,13 +379,20 @@ def _load_array(path: Path) -> np.ndarray:
     return array
 
 
+def _iter_lines(path: Path) -> Iterator[str]:
+    """The lines of `path`, one at a time, each of which the writer ended
+    with a newline; a file whose last line lacks it was cut off and raises
+    FormatError when that line is reached."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line in fh:
+                if not line.endswith("\n"):
+                    raise FormatError(f"{path} is cut off: its last line has no newline")
+                yield line[:-1]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _read_lines(path: Path) -> list[str]:
-    """The lines of `path`, each of which the writer ended with a newline;
-    a file whose last line lacks it was cut off and raises FormatError."""
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
-    if text and not text.endswith("\n"):
-        raise FormatError(f"{path} is cut off: its last line has no newline")
-    return text.split("\n")[:-1]
+    """Every line of `path` (see _iter_lines)."""
+    return list(_iter_lines(path))

@@ -14,9 +14,10 @@ settings `clf-dataset` writes. A stage whose upstream is cached builds the
 memo from the inputs, which with the configuration and seed fully determine
 it, so a cached and a freshly built upstream feed downstream stages
 identically. Spaces and use sets go between stages through
-save_space/load_space and save_uses/load_uses, as `.npy` arrays, which
-round-trip exactly. `run_all` publishes each answer file by a rename as
-well, and writes ``run.complete`` after the last one and the manifest.
+save_space/load_space and save_uses/read_uses, as `.npy` arrays, which
+round-trip exactly; `scores` reads the use sets one target at a time.
+`run_all` publishes each answer file by a rename as well, and writes
+``run.complete`` after the last one and the manifest.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import json
 import os
 import platform
 import shutil
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,7 +42,7 @@ from .context import (
     UseSet,
     extract_uses,
     load_classifier,
-    load_uses,
+    read_uses,
     save_classifier,
     save_uses,
     train_time_classifier,
@@ -536,10 +538,10 @@ class Pipeline:
                 shared_vocabulary=_read_lines(align_stage.path / "shared_vocabulary.txt"),
             )
             cf = static_score(pair, targets)
-            uses_t1 = _load_uses(uses_stage.path, T1, targets)
-            uses_t2 = _load_uses(uses_stage.path, T2, targets)
+            # The spaces go before the use sets come in, one target at a time.
+            del pair
             cd = contextual_score(
-                list(zip(uses_t1, uses_t2)),
+                _use_pairs(uses_stage.path, targets),
                 targets,
                 pair_budget=cfg.pair_budget,
                 seed=seed,
@@ -841,14 +843,15 @@ def _check_helper(helper, reports) -> None:
     raise error
 
 
-def _load_uses(directory: Path, period: str, targets: list[str]) -> list[UseSet]:
-    """One use set per target, in target order; a target without uses in
-    `period` has an empty one."""
-    use_sets = load_uses(directory, period)
-    if [u.word for u in use_sets] != targets:
-        path = directory / f"uses_{period}.index.tsv"
-        raise FormatError(f"{path} does not list the run's targets in order")
-    return use_sets
+def _use_pairs(directory: Path, targets: list[str]) -> Iterator[tuple[UseSet, UseSet]]:
+    """Each target's use sets of both periods, in target order. A pair is
+    read only when the one before it has been taken, and both readers are
+    run to their end, where their last checks are."""
+    readers = [read_uses(directory, period, targets) for period in (T1, T2)]
+    for _ in targets:
+        yield next(readers[0]), next(readers[1])
+    for reader in readers:
+        next(reader, None)
 
 
 def _write_graded(path: Path, ranking: Ranking) -> None:

@@ -186,30 +186,37 @@ def contextual_score(
     pair_budget: int | None = None,
     seed: int = 0,
 ) -> ChangeScores:
-    """MPE distance per target from its two per-period use sets."""
-    by_word: dict[str, tuple["UseSet", "UseSet"]] = {}
-    for uses_t1, uses_t2 in use_pairs:
-        if uses_t1.word != uses_t2.word:
-            raise ValueError(
-                f"mismatched use-set pair: {uses_t1.word!r} vs {uses_t2.word!r}"
-            )
-        by_word[uses_t1.word] = (uses_t1, uses_t2)
+    """MPE distance per target from its two per-period use sets.
 
+    `use_pairs` holds one (t1, t2) pair per target, in target order, and is
+    drawn from lazily: each pair is scored and dropped before the next is
+    drawn, so a lazy source holds one target's sets at a time. A pair that
+    is not the target's, a missing pair and a pair beyond the last target
+    raise ValueError."""
+    pairs = iter(use_pairs)
     scores: dict[str, float] = {}
     unscorable: dict[str, str] = {}
     for word in targets:
-        pair = by_word.get(word)
+        pair = next(pairs, None)
         if pair is None:
-            unscorable[word] = "no uses extracted"
-            continue
+            raise ValueError(f"no use-set pair for target {word!r}")
         uses_t1, uses_t2 = pair
+        if uses_t1.word != word or uses_t2.word != word:
+            raise ValueError(
+                f"use-set pair {uses_t1.word!r} (t1), {uses_t2.word!r} (t2) "
+                f"where target {word!r} was expected"
+            )
         empty = [p for p, u in (("t1", uses_t1), ("t2", uses_t2)) if len(u.vectors) == 0]
         if empty:
             unscorable[word] = " and ".join(f"no {p} uses" for p in empty)
-            continue
-        scores[word] = mpe_distance(
-            uses_t1.vectors, uses_t2.vectors, pair_budget=pair_budget, seed=seed
-        )
+        else:
+            scores[word] = mpe_distance(
+                uses_t1.vectors, uses_t2.vectors, pair_budget=pair_budget, seed=seed
+            )
+        del pair, uses_t1, uses_t2
+    extra = next(pairs, None)
+    if extra is not None:
+        raise ValueError(f"use-set pair for {extra[0].word!r} beyond the last target")
     return ChangeScores(model=CONTEXT_DEPENDENT, scores=scores, unscorable=unscorable)
 
 

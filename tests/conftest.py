@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import tracemalloc
 
 # One BLAS thread per test process, set before numpy loads OpenBLAS. With one
 # thread per core, OpenBLAS's threads wait on each other whenever another busy
@@ -14,6 +15,18 @@ import numpy as np  # noqa: E402
 import pytest
 
 from lscd.corpus import T1, Corpus
+
+
+def traced_peak(fn, *args, **kwargs):
+    """The peak of the memory that tracemalloc traces while `fn(*args,
+    **kwargs)` runs, counted from what was traced when it started, and the
+    call's result. numpy traces its array buffers."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

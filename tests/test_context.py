@@ -5,7 +5,7 @@ import dataclasses
 import itertools
 import math
 import re
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from lscd.context import (
     extract_uses,
     load_classifier,
     load_uses,
+    read_uses,
     save_classifier,
     save_uses,
     train_time_classifier,
@@ -29,7 +30,7 @@ from lscd.context import (
 from lscd.corpus import T1, T2, TEST, Corpus, TimeClfDataset, build_clf_dataset, encode
 from lscd.errors import DatasetError, FormatError, TrainingDivergedError
 
-from conftest import random_corpus
+from conftest import random_corpus, traced_peak
 from context_reference import reference_embed, reference_mix, reference_train
 
 
@@ -584,12 +585,7 @@ class TestExtraction:
         model = small_model(seed=12, dimension=128, radius=2)
         corpus = random_corpus(np.random.default_rng(13), 4000, vocab_size=10)
         padded_tokens = len(corpus.encoded.ids) + 2 * len(corpus.encoded.offsets)
-        tracemalloc.start()
-        try:
-            uses = extract_uses(model, corpus, ["w1", "w2", "w3"])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, uses = traced_peak(extract_uses, model, corpus, ["w1", "w2", "w3"])
         output = sum(u.vectors.nbytes for u in uses)
         n_uses = sum(len(u.vectors) for u in uses)
         assert output > 8 * 8 * context._BLOCK_ELEMENTS
@@ -686,6 +682,30 @@ class TestUseSetTsv:
         (again,) = load_uses(tmp_path, T1)
         assert np.array_equal(again.vectors, vectors)
 
+    def test_reader_holds_no_set_it_has_yielded(self, tmp_path):
+        save_uses(self.make_uses(), tmp_path, T1)
+        reader = read_uses(tmp_path, T1)
+        drawn = []
+
+        def take():
+            use_set = next(reader, None)
+            if use_set is not None:
+                drawn.append(weakref.ref(use_set.vectors))
+            return use_set is not None
+
+        while take():
+            assert all(ref() is None for ref in drawn)
+        assert len(drawn) == 3
+
+    def test_reader_checks_the_words_in_order(self, tmp_path):
+        save_uses(self.make_uses(), tmp_path, T1)
+        path = tmp_path / f"uses_{T1}.index.tsv"
+        listed = ["alpha", "none", "beta"]
+        assert [u.word for u in read_uses(tmp_path, T1, listed)] == listed
+        for words in (listed[:2], listed + ["gamma"], ["alpha", "beta", "none"]):
+            with pytest.raises(FormatError, match=re.escape(f"{path} does not list")):
+                list(read_uses(tmp_path, T1, words))
+
     def test_sets_of_different_widths_refused(self, tmp_path):
         uses = [UseSet("a", T1, np.ones((2, 3)), [0, 1]), UseSet("b", T1, np.ones((1, 4)), [0])]
         with pytest.raises(ValueError, match="dimensionality"):
@@ -739,6 +759,14 @@ class TestUseSetTsv:
         self.write_index(tmp_path, "word\t2\t0 3\n")
         np.save(tmp_path / f"uses_{T1}.npy", array)
         with pytest.raises(FormatError, match="not a float64 matrix"):
+            load_uses(tmp_path, T1)
+
+    def test_fortran_ordered_array_file_refused(self, tmp_path):
+        # save_uses writes C order; read set by set, a Fortran-ordered file
+        # would hand each set another set's values.
+        self.write_index(tmp_path, "word\t2\t0 3\n")
+        np.save(tmp_path / f"uses_{T1}.npy", np.asfortranarray(np.arange(6.0).reshape(2, 3)))
+        with pytest.raises(FormatError, match="Fortran order"):
             load_uses(tmp_path, T1)
 
     def test_object_array_refused(self, tmp_path):

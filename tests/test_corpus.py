@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lscd.corpus as corpus_module
 from lscd.corpus import (
     T1,
     T2,
@@ -27,7 +28,7 @@ from lscd.corpus import (
 )
 from lscd.errors import EmptyCorpusError
 
-from conftest import make_corpus, random_corpus, random_sentences
+from conftest import make_corpus, random_corpus, random_sentences, traced_peak
 
 
 class TestLoadCorpus:
@@ -298,6 +299,49 @@ class TestBuildClfDataset:
         ds = build_clf_dataset(c1, c2, masked=False, seed=1)
         source = {tuple(s) for s in c1.sentences} | {tuple(s) for s in c2.sentences}
         assert all(tuple(tokens) in source for tokens, _ in ds.examples)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_blocks_gather_what_one_block_does(self, monkeypatch, rng, block, masked):
+        # Words w20-w29 occur in t1 only: masked, they share the mask's id.
+        c1 = random_corpus(rng, 150, vocab_size=30, period=T1)
+        c2 = random_corpus(rng, 100, vocab_size=20, period=T2)
+        whole = build_clf_dataset(c1, c2, masked=masked, seed=5)
+        monkeypatch.setattr(corpus_module, "_GATHER_BLOCK", block)
+        blocked = build_clf_dataset(c1, c2, masked=masked, seed=5)
+        for got, want in (
+            (blocked.encoded.ids, whole.encoded.ids),
+            (blocked.encoded.offsets, whole.encoded.offsets),
+            (blocked.is_t2, whole.is_t2),
+            (blocked.train, whole.train),
+        ):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert blocked.encoded.words == whole.encoded.words
+        if not masked:
+            # Each example is a sentence of its own period.
+            sources = [{tuple(s) for s in c.sentences} for c in (c1, c2)]
+            for tokens, period in blocked.examples:
+                assert tuple(tokens) in sources[period == T2]
+
+    def test_gather_working_set_does_not_grow_with_tokens(self, monkeypatch):
+        # Beyond the dataset it keeps, the build holds its per-sentence draws
+        # and one block's gather. With the sentence count fixed and each
+        # sentence four times longer, only the block's gather may grow, by at
+        # most 32 B per token of one block. Measured: 4.6 kB. A copy of both
+        # corpora's ids and an int64 index over every chosen token, with its
+        # arange, grew it by 950 kB.
+        monkeypatch.setattr(corpus_module, "_GATHER_BLOCK", 64)
+        excess = []
+        for length in (8, 32):
+            rng = np.random.default_rng(9)
+            corpora = [
+                random_corpus(rng, n, vocab_size=60, period=p, min_len=length, max_len=length)
+                for n, p in ((1500, T1), (1200, T2))
+            ]
+            peak, ds = traced_peak(build_clf_dataset, *corpora, masked=True, seed=3)
+            kept = (ds.encoded.ids, ds.encoded.offsets, ds.is_t2, ds.train)
+            excess.append(peak - sum(a.nbytes for a in kept))
+        assert excess[1] - excess[0] <= 64 * 32 * 32
 
     def test_determinism(self, rng):
         c1 = random_corpus(rng, 60, period=T1)

@@ -40,6 +40,8 @@ from lscd.pipeline import (
 )
 from lscd.sgns import train_sgns
 
+from conftest import traced_peak
+
 CONFIG_TEMPLATE = """
 [paths]
 corpus_t1 = {bench}/corpus_t1.txt
@@ -487,9 +489,10 @@ class TestStaticStage:
 def handoff(tmp_path_factory, bench_dir):
     """One run on the test benchmark plus a target that occurs only in t1,
     recording what `align_spaces` and `extract_uses` computed in-process, what
-    `static_score` and `contextual_score` were handed, and each stage's key
-    payload."""
+    `static_score` was handed, each use-set pair as `contextual_score` drew
+    it, what `mpe_distance` was handed, and each stage's key payload."""
     import lscd.pipeline as pipeline_module
+    import lscd.scoring as scoring_module
 
     tmp = tmp_path_factory.mktemp("handoff")
     bench = tmp / "bench"
@@ -505,8 +508,8 @@ def handoff(tmp_path_factory, bench_dir):
     )
 
     # Every stage is built in this process; the helper only trains spaces.
-    recorded = ("align_spaces", "extract_uses", "static_score", "contextual_score")
-    calls: dict[str, list] = {name: [] for name in recorded}
+    recorded = ("align_spaces", "extract_uses", "static_score")
+    calls: dict[str, list] = {name: [] for name in (*recorded, "use_pairs", "mpe_distance")}
     payloads: dict[str, dict] = {}
 
     def recording(name, fn):
@@ -514,6 +517,18 @@ def handoff(tmp_path_factory, bench_dir):
             result = fn(*args, **kwargs)
             calls[name].append((args, result))
             return result
+
+        return wrapper
+
+    def recording_pairs(fn):
+        # The pairs come lazily: each is recorded as it is drawn.
+        def wrapper(use_pairs, *args, **kwargs):
+            def drawn():
+                for pair in use_pairs:
+                    calls["use_pairs"].append(pair)
+                    yield pair
+
+            return fn(drawn(), *args, **kwargs)
 
         return wrapper
 
@@ -525,6 +540,14 @@ def handoff(tmp_path_factory, bench_dir):
     with pytest.MonkeyPatch.context() as mp:
         for name in recorded:
             mp.setattr(pipeline_module, name, recording(name, getattr(pipeline_module, name)))
+        mp.setattr(
+            pipeline_module, "contextual_score", recording_pairs(pipeline_module.contextual_score)
+        )
+        mp.setattr(
+            scoring_module,
+            "mpe_distance",
+            recording("mpe_distance", scoring_module.mpe_distance),
+        )
         mp.setattr(pipeline_module, "_key_of", recording_key)
         pipeline = Pipeline(config)
         pipeline.run_all()
@@ -545,15 +568,28 @@ class TestArtifactHandoff:
         assert np.array_equal(read.rotation, aligned.rotation)
         assert read.shared_vocabulary == aligned.shared_vocabulary
 
-        extracted = [result for _, result in calls["extract_uses"]]
-        (((pairs, _), _),) = calls["contextual_score"]
-        for loaded, sets in zip(zip(*pairs), extracted):
-            assert len(loaded) == len(sets)
-            for got, want in zip(loaded, sets):
-                assert (got.word, got.period) == (want.word, want.period)
+        # Every pair scores drew, in target order, is the two sets that
+        # extract_uses computed for that target, bit for bit.
+        extracted = list(zip(*(result for _, result in calls["extract_uses"])))
+        targets = load_targets(handoff[0].targets)
+        assert [t1.word for t1, _ in extracted] == targets
+        assert len(calls["use_pairs"]) == len(extracted)
+        for loaded, sets in zip(calls["use_pairs"], extracted):
+            for got, want, period in zip(loaded, sets, (T1, T2)):
+                assert (got.word, got.period) == (want.word, period)
                 assert got.sentence_indices == want.sentence_indices
+                assert got.vectors.dtype == want.vectors.dtype
                 assert got.vectors.shape == want.vectors.shape
-                assert np.array_equal(got.vectors, want.vectors)
+                assert got.vectors.tobytes() == want.vectors.tobytes()
+        # MPE got those bytes, pair by pair in target order: every target
+        # but the one without t2 uses.
+        scored = [(t1, t2) for t1, t2 in extracted if len(t1.vectors) and len(t2.vectors)]
+        assert [t1.word for t1, _ in scored] == [w for w in targets if w != "onlyold"]
+        assert len(calls["mpe_distance"]) == len(scored)
+        for (args, _), sets in zip(calls["mpe_distance"], scored):
+            for got, want in zip(args[:2], sets):
+                assert got.shape == want.vectors.shape
+                assert got.tobytes() == want.vectors.tobytes()
 
     def test_target_without_uses_round_trips_empty_and_is_median_filled(self, handoff):
         config, pipeline, _, _ = handoff
@@ -669,6 +705,70 @@ class TestArtifactHandoff:
         assert excinfo.value.stage == reader
         assert isinstance(excinfo.value.cause, FormatError)
         assert str(path) in str(excinfo.value)
+
+    @pytest.mark.parametrize("extra", ["row", "vectors"])
+    def test_scores_reads_use_set_files_to_their_end(self, tmp_path, handoff, extra):
+        # What follows the last target's set, an index row or vectors no row
+        # indexes, is reached only after every target is scored.
+        config, first, _, _ = handoff
+        out = tmp_path / "out"
+        for upstream in ("ingest", "static", "align", "clf-dataset", "clf-model", "uses"):
+            built = first.stages[upstream]
+            shutil.copytree(built.path, out / upstream / built.key)
+        uses = out / "uses" / first.stages["uses"].key
+        index = uses / f"uses_{T2}.index.tsv"
+        if extra == "row":
+            with open(index, "a", encoding="utf-8") as fh:
+                fh.write("zz\t0\t\n")
+        else:
+            vectors = np.load(uses / f"uses_{T2}.npy")
+            np.save(uses / f"uses_{T2}.npy", np.vstack([vectors, vectors[:1]]))
+        with pytest.raises(StageError) as excinfo:
+            Pipeline(dataclasses.replace(config, output_dir=out)).score()
+        assert excinfo.value.stage == "scores"
+        assert isinstance(excinfo.value.cause, FormatError)
+        assert str(index) in str(excinfo.value)
+
+
+class TestScoresWorkingSet:
+    def test_scores_holds_one_target_at_a_time(self, tmp_path):
+        # 24 targets with about 400 uses per period each, at encoder width
+        # 128: one target's two sets take about 0.8 MB, all of them 19 MB.
+        # Rebuilding `scores` on cached upstream stages may hold a target's
+        # two sets, their centered copies and MPE's row blocks, but not
+        # every target's sets at once.
+        import lscd.scoring as scoring_module
+
+        rng = np.random.default_rng(31)
+        words = [f"t{i}" for i in range(24)] + [f"f{i}" for i in range(24)]
+        bench = tmp_path / "bench"
+        bench.mkdir()
+        for period in (T1, T2):
+            lines = (" ".join(words[i] for i in rng.integers(0, 48, 8)) for _ in range(2400))
+            (bench / f"corpus_{period}.txt").write_text("\n".join(lines) + "\n")
+        (bench / "targets.txt").write_text("".join(f"{w}\n" for w in words[:24]))
+        config = load_config(
+            write_config(tmp_path, bench), overrides={"gold": None, "binary_gold": None}
+        )
+        config = dataclasses.replace(
+            config, encoder=dataclasses.replace(config.encoder, dimension=128)
+        )
+        first = Pipeline(config)
+        first.score()
+        uses = first.stages["uses"].path
+        sets = [lscd.load_uses(uses, period) for period in (T1, T2)]
+        largest = max(a.vectors.nbytes + b.vectors.nbytes for a, b in zip(*sets))
+        assert sum(u.vectors.nbytes for period in sets for u in period) > 16 * largest
+        del sets
+        scores = first.stages["scores"].path
+        expected = (scores / "scores.tsv").read_bytes()
+        shutil.rmtree(scores)
+
+        again = Pipeline(config)
+        peak, _ = traced_peak(again.score)
+        assert not again.stages["scores"].cached
+        assert (scores / "scores.tsv").read_bytes() == expected
+        assert peak <= 3 * largest + 4 * 8 * scoring_module._BLOCK_ELEMENTS
 
 
 class TestCorpusMemo:

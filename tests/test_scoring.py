@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +22,8 @@ from lscd.scoring import (
     write_scores_tsv,
 )
 from lscd.sgns import EmbeddingSpace
+
+from conftest import traced_peak
 
 
 def brute_force_mpe(a, b):
@@ -251,12 +253,7 @@ class TestMpeDistance:
         # per pair).
         monkeypatch.setattr(scoring, "_BLOCK_ELEMENTS", 1024)
         for budget in (20_000, 80_000):
-            tracemalloc.start()
-            try:
-                value = mpe_distance(a, b, pair_budget=budget, seed=4)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak, value = traced_peak(mpe_distance, a, b, pair_budget=budget, seed=4)
             draw = np.random.default_rng(4)
             ii = draw.integers(0, len(a), size=budget)
             jj = draw.integers(0, len(b), size=budget)
@@ -269,12 +266,7 @@ class TestMpeDistance:
         rng = np.random.default_rng(14)
         a = rng.standard_normal((1500, 64))
         b = rng.standard_normal((1450, 64))
-        tracemalloc.start()
-        try:
-            value = mpe_distance(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, value = traced_peak(mpe_distance, a, b)
         centered = a.nbytes + b.nbytes + 8 * (len(a) + len(b))
         assert peak <= centered + 4 * 8 * scoring._BLOCK_ELEMENTS
         assert abs(value - fsum_mpe(a, b)) <= 1e-12 * value
@@ -321,15 +313,51 @@ class TestContextualScore:
         assert scores.unscorable["w"] == "no t1 uses and no t2 uses"
 
     def test_missing_pair_flagged(self):
-        scores = contextual_score([], ["w"])
-        assert scores.unscorable["w"] == "no uses extracted"
+        # Pairs come one per target, in target order: none may be missing.
+        with pytest.raises(ValueError, match="no use-set pair for target 'w'"):
+            contextual_score([], ["w"])
+        pair = (use("a", T1, np.ones((1, 2))), use("a", T2, np.ones((1, 2))))
+        with pytest.raises(ValueError, match="no use-set pair for target 'b'"):
+            contextual_score([pair], ["a", "b"])
 
     def test_mismatched_pair_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="'a' \\(t1\\), 'b' \\(t2\\).*target 'a'"):
             contextual_score(
                 [(use("a", T1, np.ones((1, 2))), use("b", T2, np.ones((1, 2))))],
                 ["a"],
             )
+
+    def test_pair_out_of_target_order_names_both_words(self):
+        pairs = [(use(w, T1, np.ones((1, 2))), use(w, T2, np.ones((1, 2)))) for w in "ba"]
+        with pytest.raises(ValueError, match="'b' \\(t1\\), 'b' \\(t2\\).*target 'a'"):
+            contextual_score(pairs, ["a", "b"])
+
+    def test_repeated_pair_rejected(self):
+        # A second pair for one word must not silently replace the first.
+        pairs = [
+            (use("w", T1, np.ones((1, 2))), use("w", T2, v))
+            for v in (np.ones((1, 2)), np.zeros((1, 2)))
+        ]
+        with pytest.raises(ValueError, match="'w' beyond the last target"):
+            contextual_score(pairs, ["w"])
+
+    def test_each_pair_dropped_before_the_next_is_drawn(self):
+        rng = np.random.default_rng(4)
+        drawn = []
+
+        def make(word):
+            pair = tuple(use(word, p, rng.standard_normal((3, 2))) for p in (T1, T2))
+            drawn.extend(weakref.ref(u) for u in pair)
+            return pair
+
+        def pairs():
+            for word in "abc":
+                assert all(ref() is None for ref in drawn)
+                yield make(word)
+
+        scores = contextual_score(pairs(), list("abc"))
+        assert list(scores.scores) == list("abc")
+        assert len(drawn) == 6
 
 
 class TestFillAndTsv:

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from lscd.sgns import (
     train_sgns,
 )
 
-from conftest import random_corpus
+from conftest import random_corpus, traced_peak
 
 
 def finite_difference_grads(center, context, negatives, h=1e-6):
@@ -360,10 +359,11 @@ class TestTraining:
 
     def test_epoch_memory_bounded_by_block(self):
         # One epoch over a gen-bench corpus of about 194k tokens (1.26M
-        # pairs at window 10). The shuffled pair indices (int64) and each
-        # pair's center (int32) take 12 B per pair; the rest must be per
-        # token or per block. Measured: 32 B per token plus 55 B per block
-        # pair; listing the epoch's pairs whole took 2.4 times this bound.
+        # pairs at window 10). The shuffled pair indices and each pair's
+        # center (int32 both) take 8 B per pair; the rest must be per token
+        # or per block. Measured with an int64 order (12 B per pair): 32 B
+        # per token plus 55 B per block pair; listing the epoch's pairs
+        # whole took 2.4 times this bound.
         bench = generate_shift_benchmark(8, None, 20000, seed=7)
         corpus = Corpus(bench.sentences_t1, T1)
         del bench
@@ -372,13 +372,10 @@ class TestTraining:
         _, _, first = _epoch_pairs(ids, offsets, 10, np.random.default_rng(3), None)
         n_pairs = int(first[-1])
         assert n_pairs > 10 * _BLOCK
-        tracemalloc.start()
-        try:
-            train_sgns(corpus, SgnsConfig(dimension=8, window=10, epochs=1, seed=3))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * n_pairs + 48 * n_tokens + 96 * _BLOCK
+        peak, _ = traced_peak(
+            train_sgns, corpus, SgnsConfig(dimension=8, window=10, epochs=1, seed=3)
+        )
+        assert peak <= 8 * n_pairs + 48 * n_tokens + 96 * _BLOCK
 
     def test_subsampling_smoke(self):
         rng = np.random.default_rng(15)
@@ -470,15 +467,30 @@ class TestEpochPairs:
         ids, offsets, _, freq = _corpus_ids(Corpus(bench.sentences_t1, T1))
         del bench
         ratio = 1e-3 / (freq / freq.sum())
-        peaks = []
-        for keep_prob in (None, np.minimum(1.0, np.sqrt(ratio) + ratio)):
-            tracemalloc.start()
-            try:
-                _epoch_pairs(ids, offsets, 10, np.random.default_rng(3), keep_prob)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [
+            traced_peak(_epoch_pairs, ids, offsets, 10, np.random.default_rng(3), keep_prob)[0]
+            for keep_prob in (None, np.minimum(1.0, np.sqrt(ratio) + ratio))
+        ]
         assert peaks[1] <= peaks[0]
+
+    def test_epoch_pair_indices_take_8_bytes_per_pair(self):
+        # An epoch's shuffled pair order and each pair's center are int32, 8 B
+        # per pair; an int64 order made it 12. The traced peak's growth from
+        # window 20 to 40 over one corpus of long sentences, per added pair,
+        # is what the per-pair arrays take: what is per token or per block
+        # cancels. Measured: 8.8 B per pair, and 12.8 with the int64 order.
+        rng = np.random.default_rng(21)
+        corpus = Corpus([[f"w{i}" for i in rng.integers(0, 50, 200)] for _ in range(60)], T1)
+        ids, offsets, _, _ = _corpus_ids(corpus)
+        pairs, peaks = [], []
+        for window in (20, 40):
+            # About the epoch's pair count: another draw of the spans.
+            first = _epoch_pairs(ids, offsets, window, np.random.default_rng(0), None)[2]
+            pairs.append(int(first[-1]))
+            config = SgnsConfig(dimension=2, window=window, epochs=1, seed=3)
+            peaks.append(traced_peak(train_sgns, corpus, config)[0])
+        assert pairs[0] > 2 * _BLOCK
+        assert (peaks[1] - peaks[0]) / (pairs[1] - pairs[0]) < 10
 
 
 def space_of(words, vectors):

@@ -36,7 +36,7 @@ from .evaluate import binary_accuracy, load_gold, spearman
 from .scoring import ChangeScores, contextual_score, mpe_distance, static_score
 from .sgns import EmbeddingSpace, SgnsConfig, load_space, save_space, train_sgns
 
-__version__ = "0.3.1"
+__version__ = "0.3.2"
 
 # Pipeline orchestration lives in lscd.pipeline (Pipeline, PipelineConfig,
 # load_config); it is not re-exported here to keep library imports light.

@@ -12,15 +12,16 @@ where a token's weight is the total offset weight that reaches it over the
 sentence's length, so a sentence's logit is the sum of its tokens' weighted
 projections ``rows @ head_w``. One pass (`_forward`) takes many sentences
 laid end to end, builds the reach rows of their tokens only, and takes each
-logit as a segment sum: O(T*d) for T tokens, with a sparse,
-one-row-per-token embedding gradient. Training takes `_CLF_CHUNK` shuffled
-sentences per SGD step and moves every parameter by the learning rate times
-the sum of the chunk's per-sentence gradients at the pre-step parameters;
-the embedding rows take that sum through `_scatter_add`.
-`classifier_loss_and_grads`, which the gradient check tests, is that pass on
-one sentence; evaluation and prediction use it too. save_uses stores one
-period's use sets exactly, as the `uses` stage hands them to `scores`;
-read_uses reads them back one set at a time, and load_uses is its list.
+logit as a segment sum: O(T*d) for T tokens. Every token's embedding
+gradient is a multiple ``scale[t] * head_w`` of the head, so the pass
+returns the T coefficients, not a T x d gradient. Training takes
+`_CLF_CHUNK` shuffled sentences per SGD step and moves every parameter by
+the learning rate times the sum of the chunk's per-sentence gradients at
+the pre-step parameters; each distinct embedding row of the chunk moves by
+one rank-1 step, its tokens' summed coefficient times the pre-step head.
+save_uses stores one period's use sets exactly, as the `uses` stage hands
+them to `scores`; read_uses reads them back one set at a time, and
+load_uses is its list.
 """
 
 from __future__ import annotations
@@ -37,14 +38,13 @@ from .corpus import (
     PERIODS, TEST, TRAIN, Corpus, TimeClfDataset, _gather, _iter_lines, _load_array,
 )
 from .errors import DatasetError, FormatError, TrainingDivergedError
-from .sgns import sigmoid
+from .sgns import _log_sigmoid, sigmoid
 
 _CLF_CHUNK = 32  # training sentences per SGD step
 # float64 values in one row block of _contextual: 512 KiB, which stays in
 # cache (2^17 ran slower, and 2^15 no faster).
 _BLOCK_ELEMENTS = 2**16
 _LR_FLOOR_FACTOR = 1e-2
-_LOSS_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class UseSet:
 
 
 class TimeClassifier:
-    """Trained sentence time classifier exposing per-token contextual vectors."""
+    """Trained sentence time classifier, whose mixed token vectors are the uses."""
 
     def __init__(
         self,
@@ -102,7 +102,6 @@ class TimeClassifier:
         offset_weights: np.ndarray,
         head_w: np.ndarray,
         head_b: float,
-        config: EncoderConfig,
     ):
         self.words = words
         self.word_ids = {w: i for i, w in enumerate(words)}
@@ -110,7 +109,6 @@ class TimeClassifier:
         self.offset_weights = offset_weights  # length 2 * radius + 1
         self.head_w = head_w
         self.head_b = head_b
-        self.config = config
 
     @property
     def radius(self) -> int:
@@ -120,28 +118,6 @@ class TimeClassifier:
         """Embedding row of each token (int32), -1 for out-of-vocabulary tokens."""
         get = self.word_ids.get
         return np.array([get(t, -1) for t in tokens], dtype=np.int32)
-
-    def _embed(self, ids: np.ndarray) -> np.ndarray:
-        return np.where((ids >= 0)[:, None], self.embeddings[ids], 0.0)
-
-    def contextual_vectors(self, tokens: list[str]) -> np.ndarray:
-        """Per-token contextual vectors: each token's embedding mixed with its
-        neighbors under the learned offset weighting. Out-of-vocabulary tokens
-        contribute a zero embedding."""
-        ids = np.pad(self.token_ids(tokens), self.radius, constant_values=-1)
-        return _contextual(self, ids, np.arange(len(tokens)) + self.radius)
-
-    def predict_proba(self, tokens: list[str]) -> float:
-        """Probability that the sentence comes from the second period."""
-        if not tokens:
-            raise ValueError("cannot classify an empty sentence")
-        ids = self.token_ids(tokens)
-        return float(sigmoid(_forward(self, ids, np.array([len(ids)]))[-1][0]))
-
-
-def _bce(p: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Binary cross-entropy of each probability `p` against its label `y` in {0, 1}."""
-    return -(y * np.log(p + _LOSS_EPS) + (1.0 - y) * np.log(1.0 - p + _LOSS_EPS))
 
 
 def _contextual(
@@ -175,21 +151,15 @@ def _contextual(
     return out
 
 
-def _forward(
-    model: TimeClassifier,
-    ids: np.ndarray,
-    lengths: np.ndarray,
-    rows: np.ndarray | None = None,
-):
+def _forward(model: TimeClassifier, ids: np.ndarray, lengths: np.ndarray):
     """One pass over sentences laid end to end in `ids`, sentence s being
-    lengths[s] >= 1 tokens long. Returns the tokens' embedding rows (`rows`,
-    if given), their reach rows (reach[t, o + radius] = 1 where offset o
-    mixes token t into a position of its sentence), pooling weights (the
-    total offset weight reaching the token over its sentence's length),
+    lengths[s] >= 1 tokens long, every id in the vocabulary. Returns the
+    tokens' embedding rows, their reach rows (reach[t, o + radius] = 1 where
+    offset o mixes token t into a position of its sentence), pooling weights
+    (the total offset weight reaching the token over its sentence's length),
     projections rows @ head_w and sentence numbers, and each sentence's
     logit as the segment sum of weight * projection plus the bias."""
-    if rows is None:
-        rows = model._embed(ids)
+    rows = model.embeddings[ids]
     radius = model.radius
     sentence = np.repeat(np.arange(len(lengths)), lengths)
     length_of = lengths[sentence]
@@ -208,58 +178,26 @@ def _loss_and_grads(
     lengths: np.ndarray,
     labels: np.ndarray,
     step: int | None = None,
-    rows: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Summed binary cross-entropy of sentences laid end to end in `ids`
     (see _forward), labelled 1 (or true) for the second period, and each
     parameter's gradient summed over them, all at the current parameters.
-    Row t of ``grads["embeddings"]`` is the gradient for token t's embedding
-    row. A non-finite logit raises TrainingDivergedError at `step`."""
-    rows, reach, weight, proj, sentence, z = _forward(model, ids, lengths, rows)
+    Token t's embedding gradient is ``grads["scale"][t] * model.head_w``.
+    A non-finite logit raises TrainingDivergedError at `step`."""
+    rows, reach, weight, proj, sentence, z = _forward(model, ids, lengths)
     if not np.isfinite(z).all():
         raise TrainingDivergedError(f"non-finite activation at step {step}", step=step)
-    p = sigmoid(z)
-    dz = p - labels
+    dz = sigmoid(z) - labels
     # A sentence's pooled vector is weight @ rows over its tokens, so each
     # token's row and the head see the sentence's dz through its weight.
     scale = dz[sentence] * weight
-    return float(_bce(p, labels).sum()), {
+    return float(-_log_sigmoid(np.where(labels, z, -z)).sum()), {
         "head_w": scale @ rows,
         "head_b": np.array(dz.sum()),
         # Offset o's gradient sums head_w . (the rows it reads) * dz / L.
         "offset_weights": ((dz / lengths)[sentence] * proj) @ reach,
-        "embeddings": scale[:, None] * model.head_w,
+        "scale": scale,
     }
-
-
-def classifier_loss_and_grads(
-    model: TimeClassifier, ids: np.ndarray, label: int
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Binary cross-entropy of one non-empty example, given as token ids
-    (TimeClassifier.token_ids), and its gradients at the current parameters:
-    the training pass on a chunk of one sentence.
-
-    Row j of ``grads["embeddings"]`` is the gradient for token j's embedding
-    row (repeated tokens add up; out-of-vocabulary rows belong to no
-    parameter). A non-finite logit raises TrainingDivergedError.
-    """
-    return _loss_and_grads(model, ids, np.array([len(ids)]), np.array([float(label)]))
-
-
-def _scatter_add(target: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
-    """target[rows] += values, summing repeated rows (as np.add.at does).
-
-    Each row's values are summed in input order by one bincount over the
-    distinct rows, so the cost follows the chunk, not the vocabulary.
-    """
-    d = target.shape[1]
-    distinct, local = np.unique(rows, return_inverse=True)
-    sums = np.bincount(
-        (local[:, None] * d + np.arange(d)).ravel(),
-        weights=values.ravel(),
-        minlength=len(distinct) * d,
-    )
-    target[distinct] += sums.reshape(-1, d)
 
 
 def _chunk_step(
@@ -272,17 +210,20 @@ def _chunk_step(
 ) -> float:
     """One SGD step on a chunk of sentences laid end to end in `ids` (see
     _forward): every parameter moves by -lr times the sum of its
-    per-sentence gradients at the pre-step parameters. Returns the summed
-    pre-step loss. All `ids` must be in the vocabulary."""
+    per-sentence gradients at the pre-step parameters, so each distinct
+    embedding row moves by -lr * (the summed scale of its tokens) * the
+    pre-step head_w. Returns the summed pre-step loss. All `ids` must be in
+    the vocabulary."""
     if ids.min() < 0:
         raise ValueError("an out-of-vocabulary token has no embedding row")
-    loss, grads = _loss_and_grads(
-        model, ids, lengths, labels, step=step, rows=model.embeddings[ids]
+    loss, grads = _loss_and_grads(model, ids, lengths, labels, step=step)
+    distinct, local = np.unique(ids, return_inverse=True)
+    model.embeddings[distinct] -= np.outer(
+        lr * np.bincount(local, weights=grads["scale"]), model.head_w
     )
     model.head_w -= lr * grads["head_w"]
     model.head_b -= lr * float(grads["head_b"])
     model.offset_weights -= lr * grads["offset_weights"]
-    _scatter_add(model.embeddings, ids, -lr * grads["embeddings"])
     return loss
 
 
@@ -324,7 +265,6 @@ def train_time_classifier(
         offset_weights=np.full(n_offsets, 1.0 / n_offsets),
         head_w=np.zeros(d),
         head_b=0.0,
-        config=config,
     )
     ids = model.token_ids(enc.words)[enc.ids]
     offsets = enc.offsets
@@ -365,10 +305,11 @@ def _evaluate(
     if not len(sentences):
         raise DatasetError("test split has no usable examples")
     y = labels[sentences]
-    p = np.concatenate([
-        sigmoid(_forward(model, *_gather(ids, offsets, chunk))[-1])
+    z = np.concatenate([
+        _forward(model, *_gather(ids, offsets, chunk))[-1]
         for chunk in np.split(sentences, range(_CLF_CHUNK, len(sentences), _CLF_CHUNK))
     ])
+    p = sigmoid(z)
     counts = np.bincount(y.astype(int), minlength=2)
     hits = np.bincount(y.astype(int), weights=(p > 0.5) == y, minlength=2)
     total = len(sentences)
@@ -379,7 +320,7 @@ def _evaluate(
             for period, h, n in zip(PERIODS, hits.tolist(), counts.tolist())
         },
         example_counts=dict(zip(PERIODS, counts.tolist())),
-        test_loss=float(_bce(p, y).sum()) / total,
+        test_loss=float(-_log_sigmoid(np.where(y, z, -z)).sum()) / total,
     )
 
 
@@ -420,7 +361,6 @@ def extract_uses(
 
 def save_classifier(model: TimeClassifier, path: str | Path) -> None:
     """Persist the trained classifier (binary, full precision)."""
-    cfg = model.config
     np.savez(
         path,
         words=np.array(model.words),
@@ -428,15 +368,6 @@ def save_classifier(model: TimeClassifier, path: str | Path) -> None:
         offset_weights=model.offset_weights,
         head_w=model.head_w,
         head_b=np.array(model.head_b),
-        config=np.array(
-            [
-                cfg.dimension,
-                cfg.context_radius,
-                cfg.epochs,
-                cfg.learning_rate,
-                cfg.seed,
-            ]
-        ),
     )
 
 
@@ -445,21 +376,12 @@ def load_classifier(path: str | Path) -> TimeClassifier:
     raises FormatError naming the file."""
     try:
         with np.load(path, allow_pickle=False) as data:
-            raw = data["config"]
-            config = EncoderConfig(
-                dimension=int(raw[0]),
-                context_radius=int(raw[1]),
-                epochs=int(raw[2]),
-                learning_rate=float(raw[3]),
-                seed=int(raw[4]),
-            )
             return TimeClassifier(
                 words=[str(w) for w in data["words"]],
                 embeddings=data["embeddings"],
                 offset_weights=data["offset_weights"],
                 head_w=data["head_w"],
                 head_b=float(data["head_b"]),
-                config=config,
             )
     except (zipfile.BadZipFile, KeyError, ValueError, EOFError) as exc:
         raise FormatError(f"corrupt classifier file {path}: {exc}") from exc

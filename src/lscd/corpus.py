@@ -148,12 +148,6 @@ class Vocabulary:
     def __contains__(self, word: str) -> bool:
         return word in self.word_ids
 
-    def total_count(self, word: str) -> int:
-        idx = self.word_ids.get(word)
-        if idx is None:
-            return 0
-        return int(self.count_t1[idx] + self.count_t2[idx])
-
 
 def build_vocabulary(corpus_t1: Corpus, corpus_t2: Corpus) -> Vocabulary:
     """Count word frequencies over both corpora; ids are dense and ordered by
@@ -250,12 +244,6 @@ class TimeClfDataset:
     def __post_init__(self):
         if not len(self.encoded.offsets) - 1 == len(self.is_t2) == len(self.train):
             raise ValueError("encoded, is_t2 and train must have equal length")
-
-    @property
-    def examples(self) -> list[tuple[list[str], str]]:
-        """(tokens, period) per example, decoded anew on each access."""
-        periods = [PERIODS[t] for t in self.is_t2.tolist()]
-        return list(zip(self.encoded.decode(), periods))
 
     def indices(self, split: str) -> np.ndarray:
         """The examples of `split` (TRAIN or TEST), in order."""

@@ -82,7 +82,6 @@ class EmbeddingSpace:
     word_ids: dict[str, int]
     vectors: np.ndarray
     context_vectors: np.ndarray | None = None
-    config: SgnsConfig | None = None
     epoch_losses: list[float] | None = None
 
     def __contains__(self, word: str) -> bool:
@@ -321,7 +320,6 @@ def train_sgns(corpus: Corpus, config: SgnsConfig) -> EmbeddingSpace:
         word_ids=word_ids,
         vectors=vec_in.astype(np.float64),
         context_vectors=vec_out.astype(np.float64),
-        config=config,
         epoch_losses=losses,
     )
 

@@ -14,7 +14,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest
 
-from lscd.corpus import T1, Corpus
+from lscd.corpus import PERIODS, T1, Corpus, TimeClfDataset
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -27,6 +27,12 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+def examples(dataset: TimeClfDataset) -> list[tuple[list[str], str]]:
+    """(tokens, period) of each example of `dataset`, decoded from its arrays."""
+    periods = [PERIODS[t] for t in dataset.is_t2.tolist()]
+    return list(zip(dataset.encoded.decode(), periods))
 
 
 @pytest.fixture

@@ -124,7 +124,6 @@ def reference_train(
         offset_weights=np.full(n_offsets, 1.0 / n_offsets),
         head_w=np.zeros(config.dimension),
         head_b=0.0,
-        config=config,
     )
     lr0 = config.learning_rate
     step = 0

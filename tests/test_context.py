@@ -16,9 +16,8 @@ from lscd.context import (
     TimeClassifier,
     UseSet,
     _chunk_step,
+    _forward,
     _loss_and_grads,
-    _scatter_add,
-    classifier_loss_and_grads,
     extract_uses,
     load_classifier,
     load_uses,
@@ -30,7 +29,7 @@ from lscd.context import (
 from lscd.corpus import T1, T2, TEST, Corpus, TimeClfDataset, build_clf_dataset, encode
 from lscd.errors import DatasetError, FormatError, TrainingDivergedError
 
-from conftest import random_corpus, traced_peak
+from conftest import examples, random_corpus, traced_peak
 from context_reference import reference_embed, reference_mix, reference_train
 
 
@@ -66,15 +65,20 @@ def small_model(seed=0, dimension=6, radius=2) -> TimeClassifier:
         offset_weights=rng.standard_normal(2 * radius + 1) * 0.3,
         head_w=rng.standard_normal(dimension) * 0.5,
         head_b=0.1,
-        config=EncoderConfig(dimension=dimension, context_radius=radius),
     )
     return model
 
 
-def densify(model: TimeClassifier, ids, row_grads) -> np.ndarray:
-    """The per-token embedding gradient as a dense vocabulary-sized array."""
+def one_sentence(model: TimeClassifier, ids: np.ndarray, label: int):
+    """_loss_and_grads on a chunk of the one sentence `ids`."""
+    return _loss_and_grads(model, ids, np.array([len(ids)]), np.array([float(label)]))
+
+
+def densify(model: TimeClassifier, ids, scale) -> np.ndarray:
+    """The embedding gradient scale[t] * head_w of each token t, summed into
+    a dense vocabulary-sized array."""
     dense = np.zeros_like(model.embeddings)
-    np.add.at(dense, ids, row_grads)
+    np.add.at(dense, ids, np.outer(scale, model.head_w))
     return dense
 
 
@@ -106,8 +110,8 @@ class TestGradients:
             tokens = [f"w{i}" for i in rng.integers(0, 10, size=int(rng.integers(1, 9)))]
             label = int(rng.integers(0, 2))
             ids = model.token_ids(tokens)
-            _, grads = classifier_loss_and_grads(model, ids, label)
-            grads["embeddings"] = densify(model, ids, grads["embeddings"])
+            _, grads = one_sentence(model, ids, label)
+            grads["embeddings"] = densify(model, ids, grads.pop("scale"))
             for name in ("head_w", "offset_weights", "embeddings"):
                 arr = getattr(model, name)
                 analytic = grads[name]
@@ -116,20 +120,20 @@ class TestGradients:
                 for k in indices:
                     orig = arr.flat[k]
                     arr.flat[k] = orig + h
-                    lp = classifier_loss_and_grads(model, ids, label)[0]
+                    lp = one_sentence(model, ids, label)[0]
                     arr.flat[k] = orig - h
-                    lm = classifier_loss_and_grads(model, ids, label)[0]
+                    lm = one_sentence(model, ids, label)[0]
                     arr.flat[k] = orig
                     fd = (lp - lm) / (2 * h)
                     scale = max(abs(analytic.flat[k]), abs(fd), 1e-8)
                     assert abs(analytic.flat[k] - fd) / scale <= 1e-4
             # bias gradient
-            _, grads = classifier_loss_and_grads(model, ids, label)
+            _, grads = one_sentence(model, ids, label)
             orig = model.head_b
             model.head_b = orig + h
-            lp = classifier_loss_and_grads(model, ids, label)[0]
+            lp = one_sentence(model, ids, label)[0]
             model.head_b = orig - h
-            lm = classifier_loss_and_grads(model, ids, label)[0]
+            lm = one_sentence(model, ids, label)[0]
             model.head_b = orig
             assert abs(float(grads["head_b"]) - (lp - lm) / (2 * h)) <= 1e-4
 
@@ -188,9 +192,9 @@ class TestSharedPass:
                 "embeddings": np.zeros_like(before.embeddings),
             }
             for sentence, label in zip(np.split(ids, np.cumsum(lengths)[:-1]), chunk_labels):
-                one_loss, grads = classifier_loss_and_grads(before, sentence, int(label))
+                one_loss, grads = one_sentence(before, sentence, int(label))
                 want_loss += one_loss
-                grads["embeddings"] = densify(before, sentence, grads["embeddings"])
+                grads["embeddings"] = densify(before, sentence, grads.pop("scale"))
                 for name in want:
                     want[name] = want[name] + grads[name]
             assert abs(loss - want_loss) <= 1e-12 * max(1.0, want_loss)
@@ -234,10 +238,9 @@ class TestSharedPass:
         assert np.array_equal(fortran.embeddings, model.embeddings)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_embedding_update_matches_add_at_bit_for_bit(self, order):
-        # A step sums each row's deltas in token order from zero, then adds
-        # the sums to the rows once; it must give the bits of np.add.at into
-        # a zero block followed by one addition.
+    def test_embedding_step_is_rank_one_per_row(self, order):
+        # Each distinct row of a chunk moves by -lr * (the summed scale of its
+        # tokens) * the pre-step head_w; every other row keeps its bits.
         cases = [
             [3, 1, 7, 0],
             [3, 1, 3, 7, 3],  # repeated 3 times, in the first and last position
@@ -254,38 +257,42 @@ class TestSharedPass:
         for chunk in chunks:
             ids = np.concatenate(chunk)
             lengths = np.array([len(sentence) for sentence in chunk])
-            # Large rows round each addition; at unit scale, repeats' deltas
-            # added in another order give other bits. Of the two labels, at
-            # least one leaves the logit unsaturated, so the deltas are not 0.
+            # Of the two labels, at least one leaves the logit unsaturated,
+            # so the rows move.
+            moved = set()
             for scale, label in itertools.product((1.0, 1e3), (0, 1)):
                 labels = np.full(len(chunk), float(label))
                 model = small_model(seed=len(ids))
                 model.embeddings = np.asarray(model.embeddings * scale, order=order)
-                if len(chunk) == 1:
-                    _, grads = classifier_loss_and_grads(model, ids, label)
-                else:
-                    _, grads = _loss_and_grads(model, ids, lengths, labels)
-                block = np.zeros_like(model.embeddings)
-                np.add.at(block, ids, -0.2 * grads["embeddings"])
-                want = model.embeddings.copy(order=order)
-                want += block
+                before = copy.deepcopy(model)
+                _, grads = _loss_and_grads(model, ids, lengths, labels)
                 _chunk_step(model, ids, lengths, labels, 0.2, step=1)
                 assert model.embeddings.flags.f_contiguous == (order == "F")
-                assert model.embeddings.tobytes(order="A") == want.tobytes(order="A")
+                untouched = np.setdiff1d(np.arange(len(model.words)), ids)
+                assert model.embeddings[untouched].tobytes() == \
+                    before.embeddings[untouched].tobytes()
+                for row in np.unique(ids):
+                    coefficient = grads["scale"][ids == row].sum()
+                    want = before.embeddings[row] - 0.2 * coefficient * before.head_w
+                    got = model.embeddings[row]
+                    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+                    if not np.array_equal(got, before.embeddings[row]):
+                        moved.add(scale)
+            assert moved == {1.0, 1e3}
 
     @pytest.mark.parametrize("radius", [0, 2, 5])
     def test_pooled_logit_matches_mix_oracle(self, radius):
-        # The pooled vector is the mean of the reference mix, out-of-vocabulary
-        # tokens ("oov") included as zero rows.
+        # The pooled vector is the mean of the reference mix.
         model = small_model(seed=4, radius=radius)
         rng = np.random.default_rng(5)
         for length in range(1, 2 * radius + 4):
-            tokens = [f"w{i}" if i < 10 else "oov" for i in rng.integers(0, 12, size=length)]
+            tokens = [f"w{i}" for i in rng.integers(0, 10, size=length)]
             pooled = reference_mix(reference_embed(model, tokens), model.offset_weights).mean(axis=0)
             z = model.head_w @ pooled + model.head_b
-            assert abs(model.predict_proba(tokens) - 1.0 / (1.0 + math.exp(-z))) <= 1e-12
-            loss, _ = classifier_loss_and_grads(model, model.token_ids(tokens), 1)
-            assert abs(loss - math.log1p(math.exp(-z))) <= 1e-9
+            ids = model.token_ids(tokens)
+            assert abs(_forward(model, ids, np.array([length]))[-1][0] - z) <= 1e-12
+            loss, _ = one_sentence(model, ids, 1)
+            assert abs(loss - math.log1p(math.exp(-z))) <= 1e-12
 
 
 class TestTraining:
@@ -308,7 +315,7 @@ class TestTraining:
         # 8 draws from 40 words: many sentences repeat a token.
         c1, c2 = marker_corpora(rng, n=200)
         dataset = build_clf_dataset(c1, c2, masked=False, seed=2)
-        assert any(len(set(tokens)) < len(tokens) for tokens, _ in dataset.examples)
+        assert any(len(set(tokens)) < len(tokens) for tokens, _ in examples(dataset))
         cfg = EncoderConfig(dimension=8, context_radius=2, seed=3)
         want, _ = train_time_classifier(dataset, cfg)
 
@@ -352,12 +359,14 @@ class TestTraining:
         model, metrics = train_time_classifier(
             dataset, EncoderConfig(dimension=16, context_radius=2, seed=18)
         )
+        # Each test sentence's logit on its own; -log sigmoid(+-z) as log1p.
+        enc = dataset.encoded
+        ids = model.token_ids(enc.words)[enc.ids]
         losses = []
-        examples = dataset.examples
-        for tokens, label in (examples[i] for i in dataset.indices(TEST)):
-            p = model.predict_proba(tokens)
-            y = 1.0 if label == T2 else 0.0
-            losses.append(-(y * math.log(p + 1e-12) + (1 - y) * math.log(1 - p + 1e-12)))
+        for i in dataset.indices(TEST):
+            sentence = ids[enc.offsets[i] : enc.offsets[i + 1]]
+            z = float(_forward(model, sentence, np.array([len(sentence)]))[-1][0])
+            losses.append(math.log1p(math.exp(-z if dataset.is_t2[i] else z)))
         assert metrics.test_loss == pytest.approx(sum(losses) / len(losses), rel=1e-12)
         assert 0.0 < metrics.test_loss < math.log(2.0)
 
@@ -376,7 +385,7 @@ class TestTraining:
         dataset = build_clf_dataset(c1, c2, masked=True, seed=2)
         assert not any(
             "markone" in tokens or "marktwo" in tokens
-            for tokens, _ in dataset.examples
+            for tokens, _ in examples(dataset)
         )
         _, metrics = train_time_classifier(
             dataset, EncoderConfig(dimension=32, context_radius=3, seed=3)
@@ -446,20 +455,6 @@ class TestTraining:
             EncoderConfig(learning_rate=0.0)
 
 
-class TestScatterAdd:
-    def test_matches_add_at_with_repeated_rows(self):
-        rng = np.random.default_rng(3)
-        for n_rows, d, b in ((1, 1, 50), (5, 3, 200), (40, 17, 1000)):
-            start = rng.standard_normal((n_rows, d))
-            rows = np.minimum(rng.zipf(1.5, size=b) - 1, n_rows - 1)
-            values = rng.standard_normal((b, d))
-            want = start.copy()
-            np.add.at(want, rows, values)
-            got = start.copy()
-            _scatter_add(got, rows, values)
-            assert np.abs(got - want).max() <= 1e-12
-
-
 class TestExtraction:
     def test_repeated_target_gives_separate_entries(self):
         model = small_model()
@@ -489,7 +484,7 @@ class TestExtraction:
         tokens = ["w0", "w5", "w2", "w5", "w7"]
         corpus = Corpus([tokens], T1)
         uses = extract_uses(model, corpus, ["w5"])
-        vectors = model.contextual_vectors(tokens)
+        vectors = reference_mix(reference_embed(model, tokens), model.offset_weights)
         assert np.array_equal(uses[0].vectors[0], vectors[1])
         assert np.array_equal(uses[0].vectors[1], vectors[3])
 
@@ -497,15 +492,16 @@ class TestExtraction:
     def test_banded_vectors_match_mix_oracle(self, radius):
         model = small_model(seed=6, radius=radius)
         rng = np.random.default_rng(7)
-        for length in range(0, 2 * radius + 4):
+        for length in range(1, 2 * radius + 4):
+            # Every token is a target, out-of-vocabulary ones ("oov", a zero
+            # row) included.
             tokens = [f"w{i}" if i < 10 else "oov" for i in rng.integers(0, 12, size=length)]
             expected = reference_mix(reference_embed(model, tokens), model.offset_weights)
-            got = model.contextual_vectors(tokens)
-            assert got.shape == (length, 6)
-            assert np.abs(got - expected).max(initial=0.0) <= 1e-12
-            if length:
-                uses = extract_uses(model, Corpus([tokens], T1), [tokens[-1]])[0]
-                assert np.array_equal(uses.vectors[-1], got[-1])
+            targets = sorted(set(tokens))
+            for use_set in extract_uses(model, Corpus([tokens], T1), targets):
+                at = [pos for pos, token in enumerate(tokens) if token == use_set.word]
+                assert use_set.vectors.shape == (len(at), 6)
+                assert np.abs(use_set.vectors - expected[at]).max() <= 1e-12
 
     def test_long_sentences_match_mix_oracle_exactly(self):
         # One 2000-token sentence between short ones: extraction adds the
@@ -527,9 +523,6 @@ class TestExtraction:
             ]
             assert len(expected) > 100
             assert np.array_equal(use_set.vectors, np.array(expected))
-        long = model.contextual_vectors(sentences[1])
-        oracle = reference_mix(reference_embed(model, sentences[1]), model.offset_weights)
-        assert np.array_equal(long, oracle)
 
     def test_deterministic(self, rng):
         model = small_model()
@@ -791,7 +784,10 @@ class TestUseSetTsv:
         assert np.array_equal(again.offset_weights, model.offset_weights)
         assert np.array_equal(again.head_w, model.head_w)
         assert again.head_b == model.head_b
-        assert again.config == model.config
+        with np.load(path) as data:
+            assert sorted(data.files) == [
+                "embeddings", "head_b", "head_w", "offset_weights", "words",
+            ]
         corpus = Corpus([["w1", "w2", "w3"]], T1)
         a = extract_uses(model, corpus, ["w2"])[0]
         b = extract_uses(again, corpus, ["w2"])[0]

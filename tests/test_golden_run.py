@@ -68,17 +68,17 @@ GOLDEN = {
     "answers/graded_context_dependent.tsv": "6fdab56f4a28da21a0aeece3f3f9c726fb9e5292cb68bf981b260d45609d1437",
     "answers/graded_context_free.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
     "answers/graded_ensemble.tsv": "d3c665ff218f46efaeff0485af462fe3c84e5c3a83c25cf7433ede4273cd0f5b",
-    "manifest.json": "4dc1d35ab4410c5678a282ce04898943852aa0fcaf903308c9dc0851695b2647",
+    "manifest.json": "3384aa8c17bfd1917d47c532adcb4e81d7b757ce2fdd533dabf32d54cc6227d1",
     "clf-dataset/meta.json": "aab095a66fc4e0cae9edfd1df867518815aeaffdfa0a8201039e28c0238e5ead",
     "clf-model/metrics.tsv": "40879d8a0078eac7f3a55c92ef040a9b4b629b6bb8b39c340b4bdab62b4c3445",
-    "clf-model/model.npz": "cdd2bac916b17cbd9815d9640ea1c3bc6aa7b293ed612ea1f75f1e6722684a17",
+    "clf-model/model.npz": "f5765e48bf3584dbac34df03c0de42ed85eaea24e4b88b3513f8ade779c0a843",
     "static/t1.npy": "9817c4340076ce14616b2bae3d494140758bdfc42790d6282a3095eac7c8ea60",
     "static/t2.npy": "a7cdaec5c66fb15316a1ce41f6b2807b61a6c10062bbeecd7bbc4feea8510dfe",
     "align/t1.npy": "72e02831174fcf82c67a824420214edda9e2586f86a36e0e5c8ad088538418bf",
     "align/t2.npy": "cae97db34b2dfc2d112e703541c1f8be4df74c6d680cd27fcaaa0e8d74460a40",
     "align/rotation.npy": "d018d80515443965250952a8ae778c887b6f6625e12d8232007818fbe91ffc38",
-    "uses/uses_t1.npy": "29ff42c481c933ce4960b45ac8905a3a1fe38669d97004b2d73c8b8fe46ec1bc",
-    "uses/uses_t2.npy": "a33a27ed31fed9541cf84523ee885abb72f707408c9e28c49bbee4ab9242c64d",
+    "uses/uses_t1.npy": "6626bde683f97a96e9df1339efee0b169b47d91b42d57b1288c8834ff6db5394",
+    "uses/uses_t2.npy": "2d343c3b0baeb3805d364590dff0cc0fc01bdf42035e031690096404e86ed843",
     "uses/uses_t1.index.tsv": "d9caa6e7bc3dccfe39b358ce6ed8931a472478b8d9d21b78cc6cb2c3c8bd12e9",
     "uses/uses_t2.index.tsv": "9031f0283baea8ddd5bd0a3b4874be0cff9eea89077bd422118147f877e0c571",
     "scores/scores.tsv": "940c75814467be685b7431f4cbe86790a6ac2bd0743ac105ca0ba44d3bc0b1e1",
